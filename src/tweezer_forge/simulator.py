@@ -186,25 +186,45 @@ def simulate_initial_load(layout: TrapLayout, p_load: float, rng) -> np.ndarray:
     return rng.random(len(layout.traps)) < p_load
 
 
-def _crosstalk_losses(ctx: _SimContext, occ: np.ndarray, plane: int,
-                      move: assembler.Move, loss: LossModel, rng) -> None:
-    """Test every atom outside the sorted plane once against the move.
+def _run_plane(ctx: _SimContext, occ: np.ndarray, plane: int,
+               plan: assembler.MovePlan, loss: LossModel, rng) -> None:
+    """Execute one plane's moves on ``occ`` with crosstalk and transfer losses.
 
-    Exposure is evaluated at the move's pick and drop points, where the MT
-    dwells at full depth to grab or release; fast transits along the path are
-    treated as harmless (the recapture thresholds are measured for a dwelling
-    beam, and planned pick/drop sites are laterally offset between planes).
+    Before each move, every atom outside the sorted plane is tested once
+    against it.  Exposure is evaluated at the move's pick and drop points,
+    where the MT dwells at full depth to grab or release; fast transits along
+    the path are treated as harmless (the recapture thresholds are measured
+    for a dwelling beam, and planned pick/drop sites are laterally offset
+    between planes).  Moves stay in their plane, so during the plane those
+    atoms can only be lost: their loss probabilities against every move are
+    computed up front, and each move draws for the ones still present, in
+    ascending trap index, before its transfer draw.
     """
-    others = np.nonzero(occ & (ctx.plane_of != plane))[0]
-    if others.size == 0:
-        return
-    ends = np.asarray([move.path[0].as_array()[:2], move.path[-1].as_array()[:2]])
-    diff = ctx.xy[others][:, None, :] - ends[None, :, :]
-    dr = np.sqrt(np.einsum("oek,oek->oe", diff, diff)).min(axis=1)
-    dz = np.abs(ctx.z[others] - ctx.mt_z[plane])
-    p_loss = mt_pass_loss(dz, dr, loss.crosstalk)
-    lost = rng.random(others.size) < p_loss
-    occ[others[lost]] = False
+    others = np.zeros(0, dtype=np.intp)
+    if loss.crosstalk_enabled and plan.moves:
+        others = np.nonzero(occ & (ctx.plane_of != plane))[0]
+    if others.size:
+        ends = np.array([(m.path[0].x, m.path[0].y, m.path[-1].x, m.path[-1].y)
+                         for m in plan.moves]).reshape(-1, 2, 2)
+        diff = ctx.xy[others][None, :, None, :] - ends[:, None, :, :]
+        dr = np.sqrt(np.einsum("mcek,mcek->mce", diff, diff)).min(axis=2)
+        dz = np.abs(ctx.z[others] - ctx.mt_z[plane])
+        p_loss = mt_pass_loss(dz, dr, loss.crosstalk)  # move x other-plane atom
+    for k, move in enumerate(plan.moves):
+        if others.size:
+            lost = rng.random(others.size) < p_loss[k]
+            if lost.any():
+                occ[others[lost]] = False
+                others, p_loss = others[~lost], p_loss[:, ~lost]
+        present = occ[move.from_index]
+        if move.kind == "transfer":
+            u = rng.random()
+            if present:
+                occ[move.from_index] = False
+                if u < loss.move_fidelity_eta:
+                    occ[move.to_index] = True
+        else:  # eject
+            occ[move.from_index] = False
 
 
 def run_shot(config: ExperimentConfig, shot_index: int,
@@ -253,18 +273,7 @@ def run_shot(config: ExperimentConfig, shot_index: int,
             continue
         per_plane_moves.append(len(plan.moves))
         sorting_ms += timing.sort_per_plane_ms + timing.per_move_ms * len(plan.moves)
-        for move in plan.moves:
-            if loss.crosstalk_enabled:
-                _crosstalk_losses(ctx, occ_true, plane, move, loss, rng)
-            present = occ_true[move.from_index]
-            if move.kind == "transfer":
-                u = rng.random()
-                if present:
-                    occ_true[move.from_index] = False
-                    if u < loss.move_fidelity_eta:
-                        occ_true[move.to_index] = True
-            else:  # eject
-                occ_true[move.from_index] = False
+        _run_plane(ctx, occ_true, plane, plan, loss, rng)
 
     # -- lifetime over each atom's held time (freeze to its final image) -----
     if not math.isinf(loss.lifetime_tau_s):
