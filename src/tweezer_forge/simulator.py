@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from . import assembler, kernels
 from .geometry import PlaneDecomposition, TrapLayout, decompose_planes, validate_mt_safety
@@ -366,7 +365,9 @@ def analytic_fill_estimate(config: ExperimentConfig) -> float:
         if n_t == 0:
             continue
         ks = np.arange(n_traps + 1)
-        pmf = binom.pmf(ks, n_traps, config.p_load)
+        q = config.p_load
+        pmf = np.array([math.comb(n_traps, k) * q**k * (1.0 - q) ** (n_traps - k)
+                        for k in range(n_traps + 1)])
         tail = pmf[n_t:]
         if tail.sum() <= 0:
             raise ValueError(f"plane {p} can never satisfy the trigger condition")

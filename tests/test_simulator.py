@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,45 @@ class TestAnalyticEstimate:
         n_targets = cfg.layout.n_targets
         se = stats.std_fill / math.sqrt(stats.triggered)
         assert abs(stats.mean_fill - estimate) < max(3 * se, 3e-3)
+
+    @staticmethod
+    def scipy_fill_estimate(cfg):
+        """The estimate with the trigger-conditioned prefill taken from
+        ``scipy.stats.binom``."""
+        from scipy.stats import binom
+
+        timing, n_p = cfg.timing, cfg.decomposition.n_planes
+        planes = []  # (plane number, targets, prefill, expected moves)
+        for p, plane in enumerate(cfg.decomposition.planes):
+            n = len(plane.indices)
+            t = sum(cfg.layout.traps[i].is_target for i in plane.indices)
+            if t == 0:
+                continue
+            ks = np.arange(t, n + 1)
+            tail = binom.pmf(ks, n, cfg.p_load)
+            mean_k = float((ks * tail).sum() / tail.sum())
+            planes.append((p, t, mean_k / n, t * (1.0 - mean_k / n) + mean_k - t))
+        sort_ms = sum(timing.sort_per_plane_ms + timing.per_move_ms * m for *_, m in planes)
+        total = 0.0
+        for p, t, prefill, _ in planes:
+            held_ms = (n_p + p + 1) * timing.image_per_plane_ms + sort_ms
+            total += t * cfg.loss.move_fidelity_eta ** (1.0 - prefill) * math.exp(
+                -held_ms / (cfg.loss.lifetime_tau_s * 1000.0))
+        return total / sum(t for _, t, *_ in planes)
+
+    @pytest.mark.parametrize("p_load", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("make", [configs.bilayer72_config, configs.four_plane_config,
+                                      configs.one_plane_config])
+    def test_matches_scipy_binomial_reference(self, make, p_load):
+        cfg = dataclasses.replace(make(loss=phy.LossModel(crosstalk=None)), p_load=p_load)
+        assert sim.analytic_fill_estimate(cfg) == pytest.approx(
+            self.scipy_fill_estimate(cfg), rel=0, abs=1e-12)
+
+    def test_package_import_leaves_out_scipy_stats(self):
+        src = Path(sim.__file__).resolve().parents[1]
+        code = "import sys, tweezer_forge; sys.exit('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
+        assert done.returncode == 0
 
 
 class TestImaging:
