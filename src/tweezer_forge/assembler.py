@@ -148,7 +148,6 @@ def assignment_min_cost(sources, targets, metric: str = "euclidean") -> np.ndarr
 
 _GRAPH_REACH_UM = 8.0  # covers one lattice step or diagonal
 _PENALTY_UNIT = 1000.0  # soft penalties are 1, 2 or 4 units
-_LEG_PENALTY_REACH_UM = 2.0  # terminal and direct legs grade passes up to here
 # entries per memo, keyed by route endpoints: a plane of n traps has at most
 # about 2 n^2 endpoint pairs (10k for a bilayer72 plane)
 _MEMO_LIMIT = 16_384
@@ -246,7 +245,7 @@ class _PlaneTable:
     def _leg_codes(self, dist: np.ndarray) -> np.ndarray:
         """Per node row: 1 where an in-plane trap blocks the leg, the soft
         penalty units where an other-plane trap is passed."""
-        codes = _penalty_units(dist, _LEG_PENALTY_REACH_UM)
+        codes = _penalty_units(dist, self.radius)
         codes[:self.n_hard] = dist[:self.n_hard] < self.radius
         return codes
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tweezer_forge import assembler as asm
 from tweezer_forge import geometry as geo
+from tweezer_forge import kernels
 from conftest import random_valid_occupancy
 
 
@@ -206,6 +207,29 @@ class TestPlanPlane:
             d = np.linalg.norm(hull_xy - exit_xy, axis=1).min()
             assert d >= 19.0  # ~20 um outside, interior points are further
             assert np.max(np.abs(exit_xy)) <= 50.0
+
+
+class TestPlaneTable:
+    def test_leg_grades_like_corridor_edge(self, bilayer_layout):
+        """Legs and corridor edges grade other-plane passes up to the same
+        collision radius, also away from the default 2 um."""
+        dec = geo.decompose_planes(bilayer_layout, 1.0)
+        plane = dec.planes[0]
+        policy = asm.PlannerPolicy(collision_radius_um=3.0)
+        table = asm._plane_table(bilayer_layout, plane.indices, plane.z_center, policy)
+        nh = table.n_hard
+        graded_beyond_2um = 0
+        for e, (i, j) in enumerate(zip(table.edge_i, table.edge_j)):
+            _, codes = table.straight(table.node_xy[i], table.node_xy[j])
+            others = np.ones(len(table.node_ids), dtype=bool)
+            others[[i, j]] = False  # an edge does not grade its own ends
+            leg = codes[nh:][others[nh:]]
+            edge = table.edge_soft[e][others[nh:]] / asm._PENALTY_UNIT
+            np.testing.assert_array_equal(leg, edge)
+            d = kernels.segment_point_distances(
+                table.node_xy[nh:][others[nh:]], table.node_xy[i][None], table.node_xy[j][None])
+            graded_beyond_2um += int(((edge > 0) & (d[:, 0] >= 2.0)).sum())
+        assert graded_beyond_2um > 0
 
 
 class TestPlanAssembly:
