@@ -200,7 +200,7 @@ def _run_plane(ctx: _SimContext, occ: np.ndarray, plane: int,
     ascending trap index, before its transfer draw.
     """
     others = np.zeros(0, dtype=np.intp)
-    if loss.crosstalk_enabled and plan.moves:
+    if loss.crosstalk_enabled:
         others = np.nonzero(occ & (ctx.plane_of != plane))[0]
     if others.size:
         ends = np.array([(m.path[0].x, m.path[0].y, m.path[-1].x, m.path[-1].y)
