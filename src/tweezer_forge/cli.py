@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import assembler, formats, geometry, hologram, kernels, physics, simulator
+from . import assembler, formats, geometry, hologram, physics, simulator
 
 
 class CliError(Exception):
@@ -270,8 +269,6 @@ def _cmd_plan_assembly(args) -> int:
 
 def _cmd_run_experiment(args) -> int:
     config = load_experiment_config(args.config, seed_override=args.seed)
-    if args.threads:
-        kernels.set_threads(args.threads)
     results = list(simulator.iter_shots(config, args.shots))
     stats = simulator.summarize(config, results)
     rows = [
@@ -344,11 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tweezer-forge",
         description="Holographic tweezer-array synthesis and assembly simulation",
-    )
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("TWEEZER_FORGE_THREADS", "0") or 0),
-        help="cap worker threads (default: TWEEZER_FORGE_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -443,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        kernels.set_threads(args.threads)
     try:
         return args.func(args)
     except CliError as exc:

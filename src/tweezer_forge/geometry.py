@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +44,6 @@ class Vec3:
 class TrapSite:
     position: Vec3
     is_target: bool = True
-    plane_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -447,14 +446,6 @@ def decompose_planes(layout: TrapLayout, epsilon_z: float = 1.0) -> PlaneDecompo
             )
         planes.append(Plane(z_center=float((zs.max() + zs.min()) / 2.0), indices=tuple(sorted(members))))
     return PlaneDecomposition(planes=tuple(planes), epsilon_z=float(epsilon_z))
-
-
-def with_plane_indices(layout: TrapLayout, decomp: PlaneDecomposition) -> TrapLayout:
-    plane_of = decomp.plane_of(len(layout.traps))
-    traps = tuple(
-        replace(t, plane_index=int(plane_of[i])) for i, t in enumerate(layout.traps)
-    )
-    return TrapLayout(traps, name=layout.name)
 
 
 def validate_mt_safety(

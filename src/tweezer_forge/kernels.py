@@ -1,13 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
-
-The numpy implementations are always available and are the reference; the
-numba variants compute the same quantities with explicit loops so the
-per-element results are independent of the thread count.
-
-Backend selection:
-  * ``TWEEZER_FORGE_NO_NUMBA=1`` forces the numpy path even if numba is
-    installed (used by the benchmark and by CI smoke runs).
-  * ``TWEEZER_FORGE_THREADS=N`` caps the numba thread pool.
+"""Hot numeric kernels, in numpy.
 
 All lengths are micrometres and all phases are radians.  The trap/voxel
 transfer phase for a pixel at (x, y) and a point at (X, Y, Z) is
@@ -20,44 +11,8 @@ with ``alpha = 2*pi / (wavelength * focal)`` and
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-HAS_NUMBA = False
-if not _env_flag("TWEEZER_FORGE_NO_NUMBA"):
-    try:
-        os.environ.setdefault("NUMBA_THREADING_LAYER", "omp")
-        from numba import njit, prange, set_num_threads
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-    _threads = os.environ.get("TWEEZER_FORGE_THREADS", "").strip()
-    if _threads.isdigit() and int(_threads) > 0:
-        set_num_threads(int(_threads))
-
-
-def set_threads(n: int) -> None:
-    """Cap the numba worker pool (no-op on the numpy backend)."""
-    if HAS_NUMBA and n > 0:
-        set_num_threads(n)
-
-
-def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# point-factor helpers (numpy path)
-# ---------------------------------------------------------------------------
 
 def _axis_factors(coords, points_lat, points_z, alpha, gamma):
     """exp(i*(alpha*c*P + gamma*Z*c^2)) as an (n_coords, n_points) matrix."""
@@ -66,7 +21,7 @@ def _axis_factors(coords, points_lat, points_z, alpha, gamma):
     return np.exp(1j * phase)
 
 
-def trap_fields_numpy(field, xs, ys, traps, alpha, gamma):
+def trap_fields(field, xs, ys, traps, alpha, gamma):
     """Complex field at each trap point for an SLM field ``field`` (ny, nx)."""
     ux = _axis_factors(xs, traps[:, 0], traps[:, 2], alpha, gamma)
     uy = _axis_factors(ys, traps[:, 1], traps[:, 2], alpha, gamma)
@@ -74,14 +29,14 @@ def trap_fields_numpy(field, xs, ys, traps, alpha, gamma):
     return np.einsum("ym,ym->m", uy, t)
 
 
-def back_field_numpy(coeff, xs, ys, traps, alpha, gamma):
+def back_field(coeff, xs, ys, traps, alpha, gamma):
     """Superpose conjugate point waves on the pixel grid: (ny, nx) complex."""
     ux = _axis_factors(xs, traps[:, 0], traps[:, 2], alpha, gamma)
     uy = _axis_factors(ys, traps[:, 1], traps[:, 2], alpha, gamma)
     return (uy.conj() * coeff) @ ux.conj().T
 
 
-def intensity_slices_numpy(field, xs, ys, vx, vy, vz, alpha, gamma):
+def intensity_slices(field, xs, ys, vx, vy, vz, alpha, gamma):
     """|field propagated to voxel centres|^2 as a (nz, ny, nx) volume."""
     out = np.empty((vz.size, vy.size, vx.size))
     for k, z in enumerate(vz):
@@ -92,8 +47,11 @@ def intensity_slices_numpy(field, xs, ys, vx, vy, vz, alpha, gamma):
     return out
 
 
-def segment_point_distances_numpy(points, seg_a, seg_b):
+def segment_point_distances(points, seg_a, seg_b):
     """Distance from each 2D point to each segment, shape (n_points, n_segs)."""
+    points = np.asarray(points, dtype=np.float64)
+    seg_a = np.asarray(seg_a, dtype=np.float64)
+    seg_b = np.asarray(seg_b, dtype=np.float64)
     d = seg_b - seg_a  # (S, 2)
     rel = points[:, None, :] - seg_a[None, :, :]  # (P, S, 2)
     dd = np.einsum("sk,sk->s", d, d)
@@ -109,7 +67,7 @@ def _spot_window(c, r, size):
     return lo, hi
 
 
-def render_spots_numpy(image, px, py, amps, sigmas, cutoff=4.0):
+def render_spots(image, px, py, amps, sigmas, cutoff=4.0):
     """Accumulate 2D Gaussians (in pixel units) onto ``image`` in place."""
     h, w = image.shape
     for m in range(px.size):
@@ -123,175 +81,3 @@ def render_spots_numpy(image, px, py, amps, sigmas, cutoff=4.0):
         gy = np.exp(-((np.arange(y0, y1) - py[m]) ** 2) / (2.0 * s * s))
         image[y0:y1, x0:x1] += amps[m] * np.outer(gy, gx)
     return image
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _trap_fields_jit(field, xs, ys, traps, alpha, gamma):
-        n_traps = traps.shape[0]
-        ny = ys.size
-        nx = xs.size
-        out = np.empty(n_traps, dtype=np.complex128)
-        for m in prange(n_traps):
-            tx = traps[m, 0]
-            ty = traps[m, 1]
-            tz = traps[m, 2]
-            ux = np.exp(1j * (alpha * tx * xs + gamma * tz * xs * xs))
-            uy = np.exp(1j * (alpha * ty * ys + gamma * tz * ys * ys))
-            acc = 0.0 + 0.0j
-            for y in range(ny):
-                s = 0.0 + 0.0j
-                for x in range(nx):
-                    s += field[y, x] * ux[x]
-                acc += uy[y] * s
-            out[m] = acc
-        return out
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _back_field_jit(coeff, xs, ys, traps, alpha, gamma):
-        n_traps = traps.shape[0]
-        ny = ys.size
-        nx = xs.size
-        # conjugate point factors, (n_traps, n) with the trap axis innermost
-        cux = np.empty((nx, n_traps), dtype=np.complex128)
-        cuy = np.empty((ny, n_traps), dtype=np.complex128)
-        for m in range(n_traps):
-            tx = traps[m, 0]
-            ty = traps[m, 1]
-            tz = traps[m, 2]
-            for x in range(nx):
-                cux[x, m] = np.exp(-1j * (alpha * tx * xs[x] + gamma * tz * xs[x] * xs[x]))
-            for y in range(ny):
-                cuy[y, m] = np.exp(-1j * (alpha * ty * ys[y] + gamma * tz * ys[y] * ys[y]))
-        out = np.empty((ny, nx), dtype=np.complex128)
-        for y in prange(ny):
-            cy = np.empty(n_traps, dtype=np.complex128)
-            for m in range(n_traps):
-                cy[m] = coeff[m] * cuy[y, m]
-            for x in range(nx):
-                s = 0.0 + 0.0j
-                for m in range(n_traps):
-                    s += cy[m] * cux[x, m]
-                out[y, x] = s
-        return out
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _intensity_slices_jit(field, xs, ys, vx, vy, vz, alpha, gamma):
-        ny = ys.size
-        nx = xs.size
-        out = np.empty((vz.size, vy.size, vx.size))
-        for k in prange(vz.size):
-            z = vz[k]
-            ux = np.empty((nx, vx.size), dtype=np.complex128)
-            for x in range(nx):
-                lens = gamma * z * xs[x] * xs[x]
-                for i in range(vx.size):
-                    ux[x, i] = np.exp(1j * (alpha * xs[x] * vx[i] + lens))
-            uy = np.empty((ny, vy.size), dtype=np.complex128)
-            for y in range(ny):
-                lens = gamma * z * ys[y] * ys[y]
-                for j in range(vy.size):
-                    uy[y, j] = np.exp(1j * (alpha * ys[y] * vy[j] + lens))
-            t = field @ ux  # (ny, nvx)
-            for j in range(vy.size):
-                for i in range(vx.size):
-                    s = 0.0 + 0.0j
-                    for y in range(ny):
-                        s += uy[y, j] * t[y, i]
-                    out[k, j, i] = s.real * s.real + s.imag * s.imag
-        return out
-
-    @njit(cache=True)
-    def _segment_point_distances_jit(points, seg_a, seg_b):
-        n = points.shape[0]
-        s = seg_a.shape[0]
-        out = np.empty((n, s))
-        for j in range(s):
-            dx = seg_b[j, 0] - seg_a[j, 0]
-            dy = seg_b[j, 1] - seg_a[j, 1]
-            dd = dx * dx + dy * dy
-            for i in range(n):
-                rx = points[i, 0] - seg_a[j, 0]
-                ry = points[i, 1] - seg_a[j, 1]
-                if dd > 0.0:
-                    t = (rx * dx + ry * dy) / dd
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                else:
-                    t = 0.0
-                cx = rx - t * dx
-                cy = ry - t * dy
-                out[i, j] = np.sqrt(cx * cx + cy * cy)
-        return out
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _render_spots_jit(image, px, py, amps, sigmas, cutoff):
-        h, w = image.shape
-        n = px.size
-        for y in prange(h):
-            for m in range(n):
-                s = sigmas[m]
-                r = cutoff * s
-                y0 = int(max(0.0, np.floor(py[m] - r)))
-                y1 = int(min(h - 1.0, np.floor(py[m] + r))) + 1
-                if y < y0 or y >= y1:
-                    continue
-                x0 = int(max(0.0, np.floor(px[m] - r)))
-                x1 = int(min(w - 1.0, np.floor(px[m] + r))) + 1
-                inv = 1.0 / (2.0 * s * s)
-                dy = y - py[m]
-                ey = np.exp(-dy * dy * inv)
-                for x in range(x0, x1):
-                    dx = x - px[m]
-                    image[y, x] += amps[m] * ey * np.exp(-dx * dx * inv)
-        return image
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def trap_fields(field, xs, ys, traps, alpha, gamma):
-    if HAS_NUMBA:
-        return _trap_fields_jit(
-            np.ascontiguousarray(field), xs, ys, np.ascontiguousarray(traps), alpha, gamma
-        )
-    return trap_fields_numpy(field, xs, ys, traps, alpha, gamma)
-
-
-def back_field(coeff, xs, ys, traps, alpha, gamma):
-    if HAS_NUMBA:
-        return _back_field_jit(
-            np.ascontiguousarray(coeff), xs, ys, np.ascontiguousarray(traps), alpha, gamma
-        )
-    return back_field_numpy(coeff, xs, ys, traps, alpha, gamma)
-
-
-def intensity_slices(field, xs, ys, vx, vy, vz, alpha, gamma):
-    if HAS_NUMBA:
-        return _intensity_slices_jit(
-            np.ascontiguousarray(field), xs, ys, vx, vy, vz, alpha, gamma
-        )
-    return intensity_slices_numpy(field, xs, ys, vx, vy, vz, alpha, gamma)
-
-
-def segment_point_distances(points, seg_a, seg_b):
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    seg_a = np.ascontiguousarray(seg_a, dtype=np.float64)
-    seg_b = np.ascontiguousarray(seg_b, dtype=np.float64)
-    if HAS_NUMBA:
-        return _segment_point_distances_jit(points, seg_a, seg_b)
-    return segment_point_distances_numpy(points, seg_a, seg_b)
-
-
-def render_spots(image, px, py, amps, sigmas, cutoff=4.0):
-    if HAS_NUMBA:
-        return _render_spots_jit(image, px, py, amps, sigmas, float(cutoff))
-    return render_spots_numpy(image, px, py, amps, sigmas, cutoff)
