@@ -199,8 +199,8 @@ def trap_amplitudes(mask: PhaseMask, layout: TrapLayout, slm: SlmConfig) -> np.n
     traps = layout.positions()
     _check_paraxial(traps)
     xs, ys = slm.pixel_coords()
-    w = _slm_field(slm, mask.phases)
-    v = kernels.trap_fields(w, xs, ys, traps, slm.alpha, slm.gamma)
+    ux, uy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
+    v = kernels.trap_fields(_slm_field(slm, mask.phases), ux, uy)
     return v / _input_norm(slm)
 
 
@@ -216,7 +216,7 @@ def _run_wgs(
     gy, gx = slm.input_amplitude()
     amp = gy[:, None] * gx[None, :]
     norm = _input_norm(slm)
-    alpha, gamma = slm.alpha, slm.gamma
+    ux, uy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
 
     if target_amps is None:
         targets = np.ones(n_traps)
@@ -228,7 +228,7 @@ def _run_wgs(
     trap_phases = rng.uniform(0.0, 2.0 * math.pi, n_traps)
     weights = np.ones(n_traps)
     coeff = weights * targets * np.exp(1j * trap_phases)
-    phases = np.angle(kernels.back_field(coeff, xs, ys, traps, alpha, gamma))
+    phases = np.angle(kernels.back_field(coeff, ux, uy))
 
     best_rms = math.inf
     best_phases = phases
@@ -238,7 +238,7 @@ def _run_wgs(
     iterations = 0
     for _ in range(wgs.max_iters):
         iterations += 1
-        v = kernels.trap_fields(amp * np.exp(1j * phases), xs, ys, traps, alpha, gamma) / norm
+        v = kernels.trap_fields(amp * np.exp(1j * phases), ux, uy) / norm
         mag = np.abs(v)
         rel = np.maximum(mag, 1e-300) / targets
         rms = float(np.std(rel**2) / np.mean(rel**2))
@@ -253,7 +253,7 @@ def _run_wgs(
         weights = weights * (np.mean(rel) / rel) ** wgs.weight_gain
         weights = weights / weights.mean()
         coeff = weights * targets * v / np.maximum(mag, 1e-300)
-        phases = np.angle(kernels.back_field(coeff, xs, ys, traps, alpha, gamma))
+        phases = np.angle(kernels.back_field(coeff, ux, uy))
 
     report = UniformityReport(
         per_trap_intensity=tuple(best_intensity / best_intensity.mean()),

@@ -21,18 +21,23 @@ def _axis_factors(coords, points_lat, points_z, alpha, gamma):
     return np.exp(1j * phase)
 
 
-def trap_fields(field, xs, ys, traps, alpha, gamma):
-    """Complex field at each trap point for an SLM field ``field`` (ny, nx)."""
+def point_factors(xs, ys, traps, alpha, gamma):
+    """Transfer factors (ux, uy) of the points ``traps`` (n, 3): ux is
+    (nx, n) over the pixel columns ``xs``, uy is (ny, n) over the rows ``ys``.
+    They depend on the layout alone, so a solve builds them once."""
     ux = _axis_factors(xs, traps[:, 0], traps[:, 2], alpha, gamma)
     uy = _axis_factors(ys, traps[:, 1], traps[:, 2], alpha, gamma)
+    return ux, uy
+
+
+def trap_fields(field, ux, uy):
+    """Complex field at each point for an SLM field ``field`` (ny, nx)."""
     t = field @ ux
     return np.einsum("ym,ym->m", uy, t)
 
 
-def back_field(coeff, xs, ys, traps, alpha, gamma):
+def back_field(coeff, ux, uy):
     """Superpose conjugate point waves on the pixel grid: (ny, nx) complex."""
-    ux = _axis_factors(xs, traps[:, 0], traps[:, 2], alpha, gamma)
-    uy = _axis_factors(ys, traps[:, 1], traps[:, 2], alpha, gamma)
     return (uy.conj() * coeff) @ ux.conj().T
 
 
