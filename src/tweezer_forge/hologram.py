@@ -204,13 +204,30 @@ def trap_amplitudes(mask: PhaseMask, layout: TrapLayout, slm: SlmConfig) -> np.n
     return v / _input_norm(slm)
 
 
+def _unit_phasor(b: np.ndarray) -> np.ndarray:
+    """b / |b| in place, which is exp(1j * angle(b)); a zero pixel gets 1,
+    as angle(0) == 0."""
+    mag = np.abs(b)
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    np.reciprocal(mag, out=mag)
+    b *= mag
+    b[zero] = 1.0
+    return b
+
+
 def _run_wgs(
     traps: np.ndarray,
     slm: SlmConfig,
     wgs: WgsConfig,
     target_amps: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, UniformityReport]:
-    """Weighted GS iteration; returns (best phases, report)."""
+    """Weighted GS iteration; returns (best phases, report).
+
+    The SLM field is kept as the unit phasor u = exp(1j * phases) of the
+    back-propagated trap sum, so an iteration is two products with the
+    layout's transfer factors and one normalisation; the phases are taken
+    once, from the best u."""
     n_traps = traps.shape[0]
     xs, ys = slm.pixel_coords()
     gy, gx = slm.input_amplitude()
@@ -228,24 +245,24 @@ def _run_wgs(
     trap_phases = rng.uniform(0.0, 2.0 * math.pi, n_traps)
     weights = np.ones(n_traps)
     coeff = weights * targets * np.exp(1j * trap_phases)
-    phases = np.angle(kernels.back_field(coeff, ux, uy))
+    u = _unit_phasor(kernels.back_field(coeff, ux, uy))
 
     best_rms = math.inf
-    best_phases = phases
+    best_u = u
     best_intensity = np.ones(n_traps)
     history = []
     converged = False
     iterations = 0
     for _ in range(wgs.max_iters):
         iterations += 1
-        v = kernels.trap_fields(amp * np.exp(1j * phases), ux, uy) / norm
+        v = kernels.trap_fields(amp * u, ux, uy) / norm
         mag = np.abs(v)
         rel = np.maximum(mag, 1e-300) / targets
         rms = float(np.std(rel**2) / np.mean(rel**2))
         history.append(rms)
         if rms < best_rms:
             best_rms = rms
-            best_phases = phases
+            best_u = u
             best_intensity = mag**2
         if rms <= wgs.target_rms:
             converged = True
@@ -253,7 +270,7 @@ def _run_wgs(
         weights = weights * (np.mean(rel) / rel) ** wgs.weight_gain
         weights = weights / weights.mean()
         coeff = weights * targets * v / np.maximum(mag, 1e-300)
-        phases = np.angle(kernels.back_field(coeff, ux, uy))
+        u = _unit_phasor(kernels.back_field(coeff, ux, uy))
 
     report = UniformityReport(
         per_trap_intensity=tuple(best_intensity / best_intensity.mean()),
@@ -262,7 +279,7 @@ def _run_wgs(
         converged=converged,
         rms_history=tuple(history),
     )
-    return np.mod(best_phases, 2.0 * math.pi), report
+    return np.mod(np.angle(best_u), 2.0 * math.pi), report
 
 
 def compute_phase_mask(

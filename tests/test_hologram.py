@@ -6,6 +6,7 @@ import pytest
 from tweezer_forge import formats
 from tweezer_forge import geometry as geo
 from tweezer_forge import hologram as holo
+from tweezer_forge import kernels
 
 SMALL_SLM = holo.SlmConfig(nx=256, ny=256)
 
@@ -194,6 +195,111 @@ class TestUniformityRms:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             holo.uniformity_rms([1.0, -0.1])
+
+
+def reference_wgs(traps, slm, wgs, target_amps=None):
+    """The WGS loop as it was before the transfer factors were built once per
+    solve and the SLM field kept as a unit phasor: every field product
+    rebuilds its factors, and each iteration takes np.angle of the
+    back-propagated field and np.exp of the phases again."""
+    xs, ys = slm.pixel_coords()
+    gy, gx = slm.input_amplitude()
+    amp = gy[:, None] * gx[None, :]
+    norm = float(gy.sum() * gx.sum())
+
+    def factors():
+        def axis(c, lat, z):
+            return np.exp(1j * (slm.alpha * np.outer(c, lat) + slm.gamma * np.outer(c * c, z)))
+        return axis(xs, traps[:, 0], traps[:, 2]), axis(ys, traps[:, 1], traps[:, 2])
+
+    def forward(phases):
+        ux, uy = factors()
+        return np.einsum("ym,ym->m", uy, (amp * np.exp(1j * phases)) @ ux) / norm
+
+    def back(coeff):
+        ux, uy = factors()
+        return np.angle((uy.conj() * coeff) @ ux.conj().T)
+
+    n = traps.shape[0]
+    targets = np.ones(n) if target_amps is None else np.asarray(target_amps) / np.mean(target_amps)
+    weights = np.ones(n)
+    trap_phases = np.random.default_rng(wgs.seed).uniform(0.0, 2.0 * math.pi, n)
+    phases = back(weights * targets * np.exp(1j * trap_phases))
+    best_rms, best_phases, history, converged = math.inf, phases, [], False
+    for _ in range(wgs.max_iters):
+        v = forward(phases)
+        mag = np.abs(v)
+        rel = np.maximum(mag, 1e-300) / targets
+        rms = float(np.std(rel**2) / np.mean(rel**2))
+        history.append(rms)
+        if rms < best_rms:
+            best_rms, best_phases = rms, phases
+        if rms <= wgs.target_rms:
+            converged = True
+            break
+        weights = weights * (np.mean(rel) / rel) ** wgs.weight_gain
+        weights = weights / weights.mean()
+        phases = back(weights * targets * v / np.maximum(mag, 1e-300))
+    return np.mod(best_phases, 2.0 * math.pi), len(history), converged, history
+
+
+def assert_matches_reference(phases, report, ref):
+    ref_phases, iterations, converged, history = ref
+    assert report.iterations_used == iterations
+    assert report.converged == converged
+    np.testing.assert_allclose(report.rms_history, history, rtol=0, atol=1e-12)
+    # distance on the circle, so 0 and 2*pi - eps agree
+    assert np.max(np.abs(np.angle(np.exp(1j * (phases - ref_phases))))) < 1e-9
+
+
+class TestWgsAgainstReference:
+    LAYOUTS = {
+        "grid10x10": lambda: grid_layout(10, 5.0),
+        "cube3x3x3": lambda: geo.generate_preset("cubic", n=(3, 3, 3), spacing=(10.0, 10.0, 17.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_compute_phase_mask(self, name):
+        lay = self.LAYOUTS[name]()
+        for seed in range(20):
+            wgs = holo.WgsConfig(seed=seed)
+            mask, report = holo.compute_phase_mask(lay, SMALL_SLM, wgs)
+            assert_matches_reference(mask.phases, report,
+                                     reference_wgs(lay.positions(), SMALL_SLM, wgs))
+
+    def test_closed_loop_refine(self):
+        lay = grid_layout(10, 5.0)
+        wgs = holo.WgsConfig(seed=7)
+        mask, _ = holo.compute_phase_mask(lay, SMALL_SLM, wgs)
+        measured = np.random.default_rng(8).uniform(0.8, 1.2, len(lay.traps))
+        refined, report = holo.closed_loop_refine(mask, lay, SMALL_SLM, wgs, measured)
+        assert refined is not mask
+        target_amps = (measured.mean() / measured) ** (wgs.weight_gain / 2.0)
+        ref = reference_wgs(lay.positions(), SMALL_SLM, wgs, target_amps)
+        assert report.iterations_used == ref[1]
+        np.testing.assert_allclose(report.rms_history, ref[3], rtol=0, atol=1e-12)
+        assert np.max(np.abs(np.angle(np.exp(1j * (refined.phases - ref[0]))))) < 1e-9
+
+    def test_zero_pixel_normalises_to_one(self):
+        b = np.array([[3.0 - 4.0j, 0.0j], [-2.0j, 0.0j]])
+        u = holo._unit_phasor(b)
+        assert u is b  # normalised in place
+        np.testing.assert_array_equal(u[:, 1], [1.0 + 0.0j, 1.0 + 0.0j])
+        np.testing.assert_allclose(u[:, 0], [0.6 - 0.8j, -1.0j], rtol=0, atol=1e-15)
+
+    def test_factors_built_once_per_solve(self, monkeypatch):
+        calls = []
+        build = kernels._axis_factors
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_axis_factors", counted)
+        _, report = holo.compute_phase_mask(
+            grid_layout(4, 6.0), SMALL_SLM, holo.WgsConfig(max_iters=20, target_rms=1e-12))
+        assert report.iterations_used == 20 and not report.converged
+        assert len(calls) == 2  # ux and uy, whatever the iteration count
 
 
 class TestClosedLoop:
