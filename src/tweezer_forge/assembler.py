@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .geometry import PlaneDecomposition, TrapLayout, Vec3
@@ -97,6 +96,9 @@ def solve_assignment(cost: np.ndarray) -> np.ndarray:
     Rows are targets, columns are sources (n_cols >= n_rows); returns the
     chosen column for each row.
     """
+    # deferred: scipy.optimize takes longer to import than the whole package
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[1] < cost.shape[0]:
         raise ValueError("cost matrix needs at least as many sources as targets")

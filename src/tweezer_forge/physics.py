@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import root
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 RB87_MASS_KG = 1.443e-25
@@ -173,6 +172,9 @@ def calibrate_crosstalk(mt: MtParams) -> MtParams:
     (loss = 0.01); the reduced-power mode then satisfies the 14 um anchor
     through the axial-intensity model shared by both thresholds.
     """
+    # deferred: scipy.optimize takes longer to import than the whole package
+    from scipy.optimize import root
+
     s_extract = float(perturbation_ratio(0.0, 0.0, mt))
     s_safe = float(perturbation_ratio(FULL_POWER_SAFE_DZ_UM, 0.0, mt))
     if not (s_extract > s_safe > 0.0):

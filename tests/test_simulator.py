@@ -204,6 +204,12 @@ class TestAnalyticEstimate:
         done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
         assert done.returncode == 0
 
+    def test_package_import_leaves_out_scipy_optimize(self):
+        src = Path(sim.__file__).resolve().parents[1]
+        code = "import sys, tweezer_forge; sys.exit('scipy.optimize' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
+        assert done.returncode == 0
+
 
 class TestImaging:
     @pytest.fixture
