@@ -6,7 +6,11 @@ transfer phase for a pixel at (x, y) and a point at (X, Y, Z) is
     alpha * (x * X + y * Y) + gamma * Z * (x**2 + y**2)
 
 with ``alpha = 2*pi / (wavelength * focal)`` and
-``gamma = pi / (wavelength * focal**2)``.
+``gamma = pi / (wavelength * focal**2)``.  The phase separates into a
+pixel-column and a pixel-row factor, so the transfer to a set of points is
+two matrices, ``point_factors(xs, ys, points, alpha, gamma) -> (ux, uy)``.
+``trap_fields(field, ux, uy)`` and ``back_field(coeff, ux, uy)`` take them
+built, so a WGS solve builds them once for its layout.
 """
 
 from __future__ import annotations
