@@ -244,9 +244,8 @@ def reference_wgs(traps, slm, wgs, target_amps=None):
 
 
 def assert_matches_reference(phases, report, ref):
-    ref_phases, iterations, converged, history = ref
+    ref_phases, iterations, _, history = ref
     assert report.iterations_used == iterations
-    assert report.converged == converged
     np.testing.assert_allclose(report.rms_history, history, rtol=0, atol=1e-12)
     # distance on the circle, so 0 and 2*pi - eps agree
     assert np.max(np.abs(np.angle(np.exp(1j * (phases - ref_phases))))) < 1e-9
@@ -264,8 +263,9 @@ class TestWgsAgainstReference:
         for seed in range(20):
             wgs = holo.WgsConfig(seed=seed)
             mask, report = holo.compute_phase_mask(lay, SMALL_SLM, wgs)
-            assert_matches_reference(mask.phases, report,
-                                     reference_wgs(lay.positions(), SMALL_SLM, wgs))
+            ref = reference_wgs(lay.positions(), SMALL_SLM, wgs)
+            assert report.converged == ref[2]
+            assert_matches_reference(mask.phases, report, ref)
 
     def test_closed_loop_refine(self):
         lay = grid_layout(10, 5.0)
@@ -275,10 +275,10 @@ class TestWgsAgainstReference:
         refined, report = holo.closed_loop_refine(mask, lay, SMALL_SLM, wgs, measured)
         assert refined is not mask
         target_amps = (measured.mean() / measured) ** (wgs.weight_gain / 2.0)
-        ref = reference_wgs(lay.positions(), SMALL_SLM, wgs, target_amps)
-        assert report.iterations_used == ref[1]
-        np.testing.assert_allclose(report.rms_history, ref[3], rtol=0, atol=1e-12)
-        assert np.max(np.abs(np.angle(np.exp(1j * (refined.phases - ref[0]))))) < 1e-9
+        # the refined report's converged flag is judged on the predicted
+        # measured rms, so only the solve itself is compared
+        assert_matches_reference(refined.phases, report,
+                                 reference_wgs(lay.positions(), SMALL_SLM, wgs, target_amps))
 
     def test_zero_pixel_normalises_to_one(self):
         b = np.array([[3.0 - 4.0j, 0.0j], [-2.0j, 0.0j]])
