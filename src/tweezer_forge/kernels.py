@@ -11,6 +11,10 @@ pixel-column and a pixel-row factor, so the transfer to a set of points is
 two matrices, ``point_factors(xs, ys, points, alpha, gamma) -> (ux, uy)``.
 ``trap_fields(field, ux, uy)`` and ``back_field(coeff, ux, uy)`` take them
 built, so a WGS solve builds them once for its layout.
+
+A fluorescence spot is separable too: ``spot_factors`` gives each spot's
+windowed row and column Gaussians, and an image is the background plus
+``(gy * amps[:, None]).T @ gx``, which ``render_spots`` accumulates.
 """
 
 from __future__ import annotations
@@ -70,23 +74,26 @@ def segment_point_distances(points, seg_a, seg_b):
     return np.sqrt(np.einsum("psk,psk->ps", closest, closest))
 
 
-def _spot_window(c, r, size):
-    lo = max(0, int(np.floor(c - r)))
-    hi = min(size - 1, int(np.floor(c + r))) + 1
-    return lo, hi
+def spot_factors(px, py, sigmas, h, w, cutoff=4.0):
+    """Row and column factors of 2D Gaussians (in pixel units) on an (h, w)
+    grid: gy (n, h) and gx (n, w), with spot m equal to
+    ``outer(gy[m], gx[m])``.  Each factor is zero outside the pixels
+    ``floor(c - cutoff*sigma) .. floor(c + cutoff*sigma)`` of its centre c,
+    so a spot wholly outside the image has zero factors."""
+    px, py, sigmas = (np.asarray(a, dtype=np.float64)[:, None] for a in (px, py, sigmas))
+    r = cutoff * sigmas
+    two_s2 = 2.0 * sigmas * sigmas
+
+    def axis(c, size):
+        j = np.arange(size)
+        inside = (j >= np.floor(c - r)) & (j <= np.floor(c + r))
+        return np.where(inside, np.exp(-((j - c) ** 2) / two_s2), 0.0)
+
+    return axis(py, h), axis(px, w)
 
 
 def render_spots(image, px, py, amps, sigmas, cutoff=4.0):
     """Accumulate 2D Gaussians (in pixel units) onto ``image`` in place."""
-    h, w = image.shape
-    for m in range(px.size):
-        s = sigmas[m]
-        r = cutoff * s
-        x0, x1 = _spot_window(px[m], r, w)
-        y0, y1 = _spot_window(py[m], r, h)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        gx = np.exp(-((np.arange(x0, x1) - px[m]) ** 2) / (2.0 * s * s))
-        gy = np.exp(-((np.arange(y0, y1) - py[m]) ** 2) / (2.0 * s * s))
-        image[y0:y1, x0:x1] += amps[m] * np.outer(gy, gx)
+    gy, gx = spot_factors(px, py, sigmas, *image.shape, cutoff=cutoff)
+    image += (gy * amps[:, None]).T @ gx
     return image

@@ -1,7 +1,8 @@
 """The numpy kernels against direct references: each field kernel against an
 unfactored sum over every SLM pixel, the segment distances against a loop
 over every (point, segment) pair, and the spot renderer against a per-pixel
-Gaussian sum with the same 4-sigma window."""
+Gaussian sum with the same 4-sigma window, and a spot wholly outside the
+image adds nothing."""
 
 import numpy as np
 import pytest
@@ -115,3 +116,17 @@ def test_render_spots_match_per_pixel_sum():
     got = kernels.render_spots(image, px, py, amps, sig)
     assert got is image  # accumulates in place
     assert np.max(np.abs(got - expected)) / expected.max() < 1e-9
+
+
+def test_render_spots_add_nothing_for_a_spot_outside_the_image():
+    h, w = 20, 30
+    sig = np.ones(4)
+    # each 4-sigma window ends one pixel short of an edge: left, right, top,
+    # bottom; the Gaussian tail there is exp(-12.5), not zero
+    px = np.array([-4.5, w + 4.0, 10.0, 12.0])
+    py = np.array([8.0, 9.0, -4.5, h + 4.0])
+    gy, gx = kernels.spot_factors(px, py, sig, h, w)
+    assert not np.any(np.einsum("mh,mw->mhw", gy, gx))
+    image = np.full((h, w), 5.0)
+    kernels.render_spots(image, px, py, np.full(4, 100.0), sig)
+    np.testing.assert_array_equal(image, 5.0)
