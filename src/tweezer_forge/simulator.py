@@ -413,6 +413,22 @@ def camera_grid(layout: TrapLayout, camera: CameraModel):
     return x0, y0, width, height
 
 
+def _trap_pixels(layout: TrapLayout, camera: CameraModel):
+    """Trap positions (n, 3), their pixel coordinates px, py, and the image
+    height and width on the camera grid."""
+    pos = layout.positions()
+    x0, y0, width, height = camera_grid(layout, camera)
+    scale = camera.pixel_scale_um
+    return pos, (pos[:, 0] - x0) / scale, (pos[:, 1] - y0) / scale, height, width
+
+
+def _defocused_spots(dz, camera: CameraModel):
+    """Peak counts and width (pixels) of a spot ``dz`` um out of focus."""
+    defocus = 1.0 + (dz / camera.defocus_rayleigh_um) ** 2
+    sigmas = camera.psf_sigma0_um * np.sqrt(defocus) / camera.pixel_scale_um
+    return camera.peak_counts / defocus, sigmas
+
+
 def synthesize_fluorescence_stack(
     occupancy,
     layout: TrapLayout,
@@ -431,21 +447,13 @@ def synthesize_fluorescence_stack(
     occ = assembler.as_occupancy(occupancy, len(layout.traps))
     if camera.noise == "poisson" and rng is None:
         raise ValueError("poisson noise requires an rng")
-    pos = layout.positions()
-    x0, y0, width, height = camera_grid(layout, camera)
-    scale = camera.pixel_scale_um
-    occupied = np.nonzero(occ)[0]
+    pos, px, py, height, width = _trap_pixels(layout, camera)
+    pos, px, py = pos[occ], px[occ], py[occ]
     images = []
     for z_img in z_list:
         img = np.full((height, width), float(camera.background_counts))
-        if occupied.size:
-            dz = pos[occupied, 2] - z_img
-            defocus = 1.0 + (dz / camera.defocus_rayleigh_um) ** 2
-            sigmas = camera.psf_sigma0_um * np.sqrt(defocus) / scale
-            amps = camera.peak_counts / defocus
-            px = (pos[occupied, 0] - x0) / scale
-            py = (pos[occupied, 1] - y0) / scale
-            kernels.render_spots(img, px, py, amps, sigmas)
+        amps, sigmas = _defocused_spots(pos[:, 2] - z_img, camera)
+        kernels.render_spots(img, px, py, amps, sigmas)
         if camera.noise == "poisson":
             img = rng.poisson(img).astype(float)
         images.append(Image2D(img))
@@ -457,6 +465,29 @@ def plane_stack_z(decomp: PlaneDecomposition) -> list[float]:
     return [pl.z_center for pl in decomp.planes]
 
 
+@lru_cache(maxsize=16)
+def _fit_model(layout: TrapLayout, camera: CameraModel, z_list: tuple[float, ...]):
+    """The least-squares model of a z-stack, one amplitude per trap.
+
+    Image k is ``sum_i atoms_i * outer(rows[k, i], cols[k, i])``, with
+    ``rows`` (K, n, h) the row factors scaled by each spot's peak counts and
+    ``cols`` (K, n, w) the column factors.  The Gram matrix of these spots is
+    ``sum_k (rows_k rows_k^T) * (cols_k cols_k^T)``; it is inverted here, so
+    a read is one product per image and one mat-vec.
+    """
+    pos, px, py, height, width = _trap_pixels(layout, camera)
+    rows, cols = [], []
+    for z_img in z_list:
+        amps, sigmas = _defocused_spots(pos[:, 2] - z_img, camera)
+        gy, gx = kernels.spot_factors(px, py, sigmas, height, width)
+        rows.append(gy * amps[:, None])
+        cols.append(gx)
+    rows, cols = np.stack(rows), np.stack(cols)
+    gram = np.einsum("kij,kij->ij", rows @ rows.transpose(0, 2, 1),
+                     cols @ cols.transpose(0, 2, 1))
+    return rows, cols, np.linalg.inv(gram)
+
+
 def detect_occupancy(
     stack: Sequence[Image2D],
     layout: TrapLayout,
@@ -466,11 +497,14 @@ def detect_occupancy(
 ) -> np.ndarray:
     """Decide per-trap occupancy from per-plane in-focus images.
 
-    Counts are integrated over a box of half-width 1.5 sigma around the
-    trap's pixel in its own plane's image and compared against the local
-    background (the median of a surrounding annulus, which absorbs the
-    smooth pedestal of defocused light from neighbouring planes) plus, by
-    default, half the expected single-atom signal.
+    Every trap's amplitude is fitted, in atoms, from all the plane images
+    at once: each image, less the background, is modelled as the sum of
+    every trap's spot, in focus or defocused as
+    ``synthesize_fluorescence_stack`` renders it, and the amplitudes are
+    its unweighted least-squares solution.  A trap is occupied when its
+    amplitude exceeds the threshold fraction of one atom (0.5 for
+    "midpoint").  The model and its inverse Gram matrix depend only on
+    (layout, camera, plane z list) and are cached.
     """
     if len(stack) != decomp.n_planes:
         raise ValueError(f"stack must hold one image per plane ({decomp.n_planes})")
@@ -482,36 +516,17 @@ def detect_occupancy(
         frac = float(threshold_policy)
         if not (0.0 < frac < 1.0):
             raise ValueError("threshold fraction must be in (0, 1)")
-    pos = layout.positions()
-    x0, y0, width, height = camera_grid(layout, camera)
-    scale = camera.pixel_scale_um
-    sigma_px = camera.psf_sigma0_um / scale
-    half = max(1, math.ceil(1.5 * sigma_px))
-    ring = half + 2
-    plane_of = decomp.plane_of(len(layout.traps))
-    occ = np.zeros(len(layout.traps), dtype=bool)
-    for i in range(len(layout.traps)):
-        img = stack[plane_of[i]].pixels
-        px = (pos[i, 0] - x0) / scale
-        py = (pos[i, 1] - y0) / scale
-        cx, cy = int(round(px)), int(round(py))
-        xs = np.arange(max(0, cx - half), min(width, cx + half + 1))
-        ys = np.arange(max(0, cy - half), min(height, cy + half + 1))
-        box = img[np.ix_(ys, xs)]
-        wxs = np.arange(max(0, cx - ring), min(width, cx + ring + 1))
-        wys = np.arange(max(0, cy - ring), min(height, cy + ring + 1))
-        window = img[np.ix_(wys, wxs)]
-        inner_x = (wxs >= xs[0]) & (wxs <= xs[-1])
-        inner_y = (wys >= ys[0]) & (wys <= ys[-1])
-        annulus = window[~np.outer(inner_y, inner_x)]
-        local_bg = float(np.median(annulus)) if annulus.size else camera.background_counts
-        expected = camera.peak_counts * np.outer(
-            np.exp(-((ys - py) ** 2) / (2.0 * sigma_px**2)),
-            np.exp(-((xs - px) ** 2) / (2.0 * sigma_px**2)),
-        ).sum()
-        threshold = local_bg * box.size + frac * expected
-        occ[i] = box.sum() > threshold
-    return occ
+    rows, cols, gram_inv = _fit_model(layout, camera, tuple(plane_stack_z(decomp)))
+    shape = (rows.shape[2], cols.shape[2])
+    for img in stack:
+        if img.pixels.shape != shape:
+            raise ValueError(
+                f"image is {img.pixels.shape} pixels; the camera grid is "
+                f"(height, width) = {shape}"
+            )
+    resid = np.stack([img.pixels for img in stack]) - camera.background_counts
+    rhs = np.einsum("knw,knw->n", rows @ resid, cols)
+    return gram_inv @ rhs > frac
 
 
 def average_frames(stacks: Sequence[Sequence[Image2D]]) -> list[Image2D]:

@@ -307,3 +307,17 @@ class TestDetect:
         assert code == 0
         got = json.loads(out.read_text())["occupied"]
         assert got == [bool(v) for v in occ]
+
+    def test_images_off_the_camera_grid_rejected(self, tmp_path, capsys):
+        lay_path = tmp_path / "lay.json"
+        cli.main(["gen-geometry", "--preset", "cubic", "--n", "3", "3", "1",
+                  "--spacing", "10", "10", "17", "-o", str(lay_path)])
+        capsys.readouterr()
+        layout = geo.load_layout(lay_path)
+        _, _, width, height = sim.camera_grid(layout, sim.CameraModel())
+        p = tmp_path / "plane0.pgm"
+        formats.write_pgm16(p, np.full((height + 1, width), 10.0))
+        code, _, err = run(capsys, "detect", "--layout", str(lay_path), str(p),
+                           "-o", str(tmp_path / "occ.json"))
+        assert code == 2
+        assert f"(height, width) = ({height}, {width})" in json.loads(err)["detail"]

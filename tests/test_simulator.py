@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweezer_forge import configs
+from tweezer_forge import configs, kernels
 from tweezer_forge import geometry as geo
 from tweezer_forge import physics as phy
 from tweezer_forge import simulator as sim
@@ -210,6 +210,12 @@ class TestAnalyticEstimate:
         done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
         assert done.returncode == 0
 
+    def test_package_import_leaves_out_scipy_linalg(self):
+        src = Path(sim.__file__).resolve().parents[1]
+        code = "import sys, tweezer_forge; sys.exit('scipy.linalg' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
+        assert done.returncode == 0
+
 
 class TestImaging:
     @pytest.fixture
@@ -252,6 +258,16 @@ class TestImaging:
             got = sim.detect_occupancy(stack, lay, dec, camera)
             np.testing.assert_array_equal(got, occ)
 
+    def test_detect_round_trip_on_a_bright_background(self):
+        # the background is subtracted, not fitted: 150 counts a pixel would
+        # otherwise read as several atoms per trap
+        camera = sim.CameraModel(background_counts=150.0)
+        lay = geo.generate_preset("cubic", n=(3, 3, 2), spacing=(10, 10, 17))
+        dec = geo.decompose_planes(lay, 1.0)
+        occ = np.random.default_rng(4).random(len(lay)) < 0.5
+        stack = sim.synthesize_fluorescence_stack(occ, lay, camera, sim.plane_stack_z(dec))
+        np.testing.assert_array_equal(sim.detect_occupancy(stack, lay, dec, camera), occ)
+
     def test_detect_all_empty(self, camera):
         lay = geo.generate_preset("cubic", n=(3, 3, 1), spacing=(10, 10, 17))
         dec = geo.decompose_planes(lay, 1.0)
@@ -292,6 +308,118 @@ class TestImaging:
             sim.synthesize_fluorescence_stack(
                 [True], lay, sim.CameraModel(noise="poisson"), [0.0]
             )
+
+    def test_detect_rejects_image_off_the_camera_grid(self, camera):
+        lay = geo.generate_preset("cubic", n=(3, 3, 2), spacing=(10, 10, 17))
+        dec = geo.decompose_planes(lay, 1.0)
+        _, _, width, height = sim.camera_grid(lay, camera)
+        stack = sim.synthesize_fluorescence_stack(
+            np.ones(len(lay), dtype=bool), lay, camera, sim.plane_stack_z(dec)
+        )
+        stack[1] = sim.Image2D(stack[1].pixels[:, :-1])
+        with pytest.raises(ValueError, match=rf"\(height, width\) = \({height}, {width}\)"):
+            sim.detect_occupancy(stack, lay, dec, camera)
+
+    def test_fit_model_built_once_per_layout_camera_and_z_list(self, camera):
+        lay = geo.generate_preset("cubic", n=(3, 3, 2), spacing=(10, 10, 17))
+        dec = geo.decompose_planes(lay, 1.0)
+        stack = sim.synthesize_fluorescence_stack(
+            np.ones(len(lay), dtype=bool), lay, camera, sim.plane_stack_z(dec)
+        )
+        sim._fit_model.cache_clear()
+        for _ in range(50):
+            sim.detect_occupancy(stack, lay, dec, camera)
+        info = sim._fit_model.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
+
+def _triggered_occupancies(cfg, n, rng):
+    ctx = sim._SimContext(cfg)
+    for _ in range(n):
+        occ = sim.simulate_initial_load(cfg.layout, cfg.p_load, rng)
+        while not ctx.triggered(occ):
+            occ = sim.simulate_initial_load(cfg.layout, cfg.p_load, rng)
+        yield occ
+
+
+def _render_on_grid(occ, positions, camera, grid, z_list, rng):
+    """A Poisson z-stack of the atoms at ``positions[occ]``, rendered with
+    ``camera``'s spot model onto the pixel grid ``grid`` (x0, y0, w, h)."""
+    x0, y0, width, height = grid
+    scale = camera.pixel_scale_um
+    pos = positions[occ]
+    stack = []
+    for z in z_list:
+        defocus = 1.0 + ((pos[:, 2] - z) / camera.defocus_rayleigh_um) ** 2
+        img = np.full((height, width), float(camera.background_counts))
+        kernels.render_spots(
+            img, (pos[:, 0] - x0) / scale, (pos[:, 1] - y0) / scale,
+            camera.peak_counts / defocus,
+            camera.psf_sigma0_um * np.sqrt(defocus) / scale,
+        )
+        stack.append(sim.Image2D(rng.poisson(img).astype(float)))
+    return stack
+
+
+# Misreads allowed per trap read on Poisson stacks; none are seen.
+MISREAD_RATE_BOUND = 1e-4
+
+
+class TestDensePlaneDetection:
+    """The fit reads dense planes: the bilayer's 4 um lattices with a second
+    plane 5 um away, where a local-background detector misread 54 of the
+    144 traps of a noise-free, fully loaded stack."""
+
+    def test_bilayer72_noise_free_round_trip(self):
+        cfg = configs.bilayer72_config()
+        z = sim.plane_stack_z(cfg.decomposition)
+        rng = np.random.default_rng(72)
+        n = len(cfg.layout)
+        for occ in [np.ones(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(25)]:
+            stack = sim.synthesize_fluorescence_stack(occ, cfg.layout, cfg.camera, z)
+            got = sim.detect_occupancy(stack, cfg.layout, cfg.decomposition, cfg.camera)
+            np.testing.assert_array_equal(got, occ)
+
+    @pytest.mark.parametrize("make", [configs.bilayer72_config, configs.four_plane_config])
+    def test_poisson_misread_bound(self, make):
+        cfg = make()
+        camera = dataclasses.replace(cfg.camera, noise="poisson")
+        z = sim.plane_stack_z(cfg.decomposition)
+        rng = np.random.default_rng(12345)
+        misread = reads = 0
+        for occ in _triggered_occupancies(cfg, 200, rng):
+            stack = sim.synthesize_fluorescence_stack(occ, cfg.layout, camera, z, rng=rng)
+            got = sim.detect_occupancy(stack, cfg.layout, cfg.decomposition, camera)
+            misread += int((got != occ).sum())
+            reads += occ.size
+        assert misread <= MISREAD_RATE_BOUND * reads
+
+    @pytest.mark.parametrize("mismatch", [
+        {"psf_sigma0_um": 0.9}, {"psf_sigma0_um": 1.1},
+        {"background_counts": 0.8}, {"background_counts": 1.2},
+        {"jitter_um": 0.2},
+    ], ids=["sigma-10%", "sigma+10%", "background-20%", "background+20%", "jitter-0.2um"])
+    def test_read_survives_a_model_mismatch(self, mismatch):
+        # stacks rendered off the nominal model, read with the nominal one
+        cfg = configs.bilayer72_config()
+        nominal = cfg.camera
+        jitter = mismatch.pop("jitter_um", 0.0)
+        actual = dataclasses.replace(nominal, **{
+            k: f * getattr(nominal, k) for k, f in mismatch.items()})
+        grid = sim.camera_grid(cfg.layout, nominal)
+        z = sim.plane_stack_z(cfg.decomposition)
+        rng = np.random.default_rng(12345)
+        misread = reads = 0
+        for occ in _triggered_occupancies(cfg, 100, rng):
+            positions = cfg.layout.positions()
+            angle = rng.uniform(0.0, 2.0 * np.pi, occ.size)
+            positions[:, 0] += jitter * np.cos(angle)
+            positions[:, 1] += jitter * np.sin(angle)
+            stack = _render_on_grid(occ, positions, actual, grid, z, rng)
+            got = sim.detect_occupancy(stack, cfg.layout, cfg.decomposition, nominal)
+            misread += int((got != occ).sum())
+            reads += occ.size
+        assert misread <= MISREAD_RATE_BOUND * reads
 
 
 class TestAverageFrames:
