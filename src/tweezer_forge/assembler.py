@@ -11,8 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -168,9 +168,10 @@ class _PlaneTable:
 
     Nodes are the in-plane ("hard") trap sites followed by the other-plane
     ("soft") sites within the axial clearance; a node's position in that
-    order indexes every table below.  Every segment the scheduler tests
-    joins fixed points (trap sites, eject exits and the detour waypoints of
-    a pair), so which traps can block it, and how badly, is computed once
+    order indexes every table below.  The in-plane nodes are also the
+    staging sites of swap cycles.  Every segment the scheduler tests joins
+    fixed points (trap sites, eject exits and the detour waypoints of a
+    pair), so which traps can block it, and how badly, is computed once
     here; a planning call only applies the occupancy.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
@@ -185,7 +186,6 @@ class _PlaneTable:
                  policy: PlannerPolicy):
         pos = layout.positions()
         n = len(layout.traps)
-        self.layout = layout
         self.mt_z = mt_z
         self.policy = policy
         self.radius = policy.collision_radius_um
@@ -299,6 +299,22 @@ class _PlaneTable:
             return cands, seg_a, seg_b, rows, blocked[rows]
         return self._memo(self._detours, (a_xy.tobytes(), b_xy.tobytes()), build)
 
+    @cached_property
+    def exits(self) -> np.ndarray:
+        """Eject exit of each in-plane node (rows in node order): the nearest
+        point ``eject_margin_um`` outside the convex hull of the plane's
+        traps, clamped into the field of view."""
+        plane_xy = self.node_xy[:self.n_hard]
+        margin, fov = self.policy.eject_margin_um, self.policy.fov_lateral_um
+        hull = _convex_hull(plane_xy)
+        if hull.shape[0] == 1:
+            return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
+        edges = [(hull[i], hull[(i + 1) % hull.shape[0]]) for i in range(hull.shape[0])]
+        if hull.shape[0] == 2:
+            edges = edges[:1]
+        centroid = hull.mean(axis=0)
+        return np.array([_exit_point(p, edges, centroid, margin, fov) for p in plane_xy])
+
 
 @lru_cache(maxsize=32)
 def _plane_table(layout: TrapLayout, hard_key: tuple, mt_z: float,
@@ -341,27 +357,10 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
-@lru_cache(maxsize=128)
-def _eject_exits(layout: TrapLayout, idx_key: tuple, margin: float, fov: float) -> dict:
-    """Exit point for every trap of a plane, cached per layout/plane."""
-    xy = layout.positions()[:, :2]
-    plane_xy = xy[list(idx_key)]
-    return {
-        i: tuple(_eject_exit_point(plane_xy, xy[i], margin, fov))
-        for i in idx_key
-    }
-
-
-def _eject_exit_point(plane_xy: np.ndarray, p: np.ndarray, margin: float, fov: float) -> np.ndarray:
-    """Nearest point ``margin`` um outside the convex hull of the plane's
-    traps, clamped into the field of view."""
-    hull = _convex_hull(plane_xy)
-    if hull.shape[0] == 1:
-        return np.clip(p + np.array([margin, 0.0]), -fov, fov)
-    edges = [(hull[i], hull[(i + 1) % hull.shape[0]]) for i in range(hull.shape[0])]
-    if hull.shape[0] == 2:
-        edges = edges[:1]
-    centroid = hull.mean(axis=0)
+def _exit_point(p: np.ndarray, edges, centroid: np.ndarray, margin: float,
+                fov: float) -> np.ndarray:
+    """Nearest point ``margin`` um outside the hull with these edges,
+    clamped into the field of view."""
     best = None
     for a, b in edges:
         d = b - a
@@ -387,6 +386,19 @@ def _eject_exit_point(plane_xy: np.ndarray, p: np.ndarray, margin: float, fov: f
 # collision-aware scheduling
 # ---------------------------------------------------------------------------
 
+class _Pending(NamedTuple):
+    """A move waiting to run.  An ejection has no ``dst``; its ``end`` is its
+    exit.  ``near_hard`` and ``near_soft`` are the in-plane and other-plane
+    traps, other than ``exclude``, close enough to ever block the straight
+    leg; occupancy is applied at scheduling time."""
+    src: int
+    dst: Optional[int]
+    end: np.ndarray
+    exclude: tuple[int, ...]
+    near_hard: list[int]
+    near_soft: list[int]
+
+
 class _Scheduler:
     """Orders moves so replay never lifts from an empty trap, never drops onto
     an occupied one, and keeps the MT clear of occupied bystander traps in
@@ -399,74 +411,39 @@ class _Scheduler:
     clearance are avoided on a best-effort basis only: crossing them costs
     crosstalk, not a collision, so they never make a plan infeasible.
     Occupied destinations (swap cycles) are broken by staging through the
-    nearest free non-target site.
+    nearest free in-plane non-target site.
     """
 
-    def __init__(self, table: _PlaneTable, occupancy: np.ndarray,
-                 stage_candidates: Sequence[int]):
+    def __init__(self, table: _PlaneTable, occupancy: np.ndarray):
         self.table = table
         self.xy = table.xy
-        self.is_target = table.is_target
-        self.mt_z = table.mt_z
         self.occ = occupancy.copy()
         self.occ_nodes = self.occ[table.nodes]  # occupancy in node order
-        self.stage_candidates = list(stage_candidates)
         self.out: list[Move] = []
 
-    # -- geometry helpers ---------------------------------------------------
+    # -- moves ---------------------------------------------------------------
 
-    def _near(self, a_xy, b_xy, exclude):
-        """Traps close enough to ever block the straight leg a -> b, split
-        into (in-plane, other-plane) lists; occupancy is applied at
-        scheduling time."""
-        close, _ = self.table.straight(a_xy, b_xy)
+    def _pending(self, src: int, dst: Optional[int], end: np.ndarray) -> _Pending:
+        exclude = (src,) if dst is None else (src, dst)
+        close, _ = self.table.straight(self.xy[src], end)
         ids = self.table.nodes[close].tolist()
         k = int(np.count_nonzero(close[:self.table.n_hard]))
-        return ([c for c in ids[:k] if c not in exclude],
-                [c for c in ids[k:] if c not in exclude])
+        return _Pending(src, dst, end, exclude,
+                        [c for c in ids[:k] if c not in exclude],
+                        [c for c in ids[k:] if c not in exclude])
 
-    def _excluded(self, exclude) -> np.ndarray:
-        mask = np.zeros(self.occ_nodes.size, dtype=bool)
-        pos = self.table.node_of[list(exclude)]
-        mask[pos[pos >= 0]] = True
-        return mask
+    def transfer(self, src: int, dst: int) -> _Pending:
+        return self._pending(src, dst, self.xy[dst])
 
-    def _detour(self, a_xy, b_xy, exclude, prefer_soft_clearance: bool = False):
-        """Single-waypoint path clearing every occupied in-plane blocker, or
-        None.
+    def eject(self, src: int) -> _Pending:
+        return self._pending(src, None, self.table.exits[self.table.node_of[src]])
 
-        By default the first candidate also clearing the other-plane atoms
-        wins; with ``prefer_soft_clearance`` the hard-clear candidate whose
-        worst approach to an other-plane atom is largest wins instead.
-        """
-        t = self.table
-        live = self.occ_nodes & ~self._excluded(exclude)
-        if not live.any():
-            return [a_xy, b_xy]
-        cands, seg_a, seg_b, rows, blocked = t.detour(a_xy, b_xy)
-        if not cands.size:
-            return None
-        on = live[rows]
-        in_plane = rows < t.n_hard
-        ok = ~blocked[on & in_plane].any(axis=0)
-        if not ok.any():
-            return None
-        if prefer_soft_clearance:
-            soft_xy = t.node_xy[t.n_hard:][live[t.n_hard:]]
-            if soft_xy.size:
-                soft_min = kernels.segment_point_distances(soft_xy, seg_a, seg_b).min(axis=0)
-            else:
-                soft_min = np.full(seg_a.shape[0], np.inf)
-            n = cands.shape[0]
-            path_soft_min = np.minimum(soft_min[:n], soft_min[n:])
-            best = int(np.nonzero(ok)[0][np.argmax(path_soft_min[ok])])
-            return [a_xy, cands[best], b_xy]
-        fully = ok & ~blocked[on & ~in_plane].any(axis=0)
-        if fully.any():
-            return [a_xy, cands[int(np.argmax(fully))], b_xy]
-        return None
+    def _executable(self, m: _Pending) -> bool:
+        return bool(self.occ[m.src]) and (m.dst is None or not self.occ[m.dst])
 
-    def _corridor_route(self, a_xy, b_xy, exclude):
+    # -- routing -------------------------------------------------------------
+
+    def _corridor_route(self, a_xy, b_xy, live, free):
         """Cheapest route a -> (empty trap sites) -> b along corridor edges.
 
         Edges blocked by in-plane atoms are unusable; edges crossing near an
@@ -478,9 +455,6 @@ class _Scheduler:
         """
         t = self.table
         nh = t.n_hard
-        excluded = self._excluded(exclude)
-        free = ~self.occ_nodes & ~excluded
-        live = self.occ_nodes & ~excluded
         hard_rows = np.nonzero(live[:nh])[0]
         soft_rows = nh + np.nonzero(live[nh:])[0]
 
@@ -528,34 +502,46 @@ class _Scheduler:
             v = prev[v]
         return [a_xy] + [t.node_xy[p] for p in reversed(hops)] + [b_xy]
 
-    def _route(self, a_xy, b_xy, exclude, live_hard=None, live_soft=None):
-        """Best path honouring the in-plane collision rule and crossing as
+    def _route(self, m: _Pending) -> list:
+        """Path of ``m`` honouring the in-plane collision rule and crossing as
         few (and as distant) other-plane atoms as possible.
 
-        Never returns None: when no conforming route exists the straight
-        segment is accepted (a close pass costs crosstalk in the simulator,
-        not a planning failure).
+        The first that applies: the straight leg when no occupied trap is
+        near it; the first single-waypoint detour clear of every occupied
+        trap; the corridor search; the detour clear of in-plane atoms that
+        keeps furthest from other-plane ones; the straight leg anyway (a
+        close pass costs crosstalk in the simulator, not a planning failure).
         """
-        if live_hard is None or live_soft is None:
-            hard, soft = self._near(a_xy, b_xy, exclude)
-            live_hard = [c for c in hard if self.occ[c]]
-            live_soft = [c for c in soft if self.occ[c]]
-        if not live_hard and not live_soft:
+        t = self.table
+        a_xy, b_xy = self.xy[m.src], m.end
+        if not any(self.occ[c] for c in m.near_hard + m.near_soft):
             return [a_xy, b_xy]
-        path = self._detour(a_xy, b_xy, exclude)
+        excluded = np.zeros(self.occ_nodes.size, dtype=bool)
+        pos = t.node_of[list(m.exclude)]
+        excluded[pos[pos >= 0]] = True
+        live = self.occ_nodes & ~excluded
+
+        cands, seg_a, seg_b, rows, blocked = t.detour(a_xy, b_xy)
+        on = live[rows]
+        in_plane = rows < t.n_hard
+        hard_ok = ~blocked[on & in_plane].any(axis=0)
+        clear = hard_ok & ~blocked[on & ~in_plane].any(axis=0)
+        if clear.any():
+            return [a_xy, cands[int(np.argmax(clear))], b_xy]
+        path = self._corridor_route(a_xy, b_xy, live, ~self.occ_nodes & ~excluded)
         if path is not None:
             return path
-        path = self._corridor_route(a_xy, b_xy, exclude)
-        if path is not None:
-            return path
-        if not live_hard:
-            return [a_xy, b_xy]
-        path = self._detour(a_xy, b_xy, exclude, prefer_soft_clearance=True)
-        if path is not None:
-            return path
+        if hard_ok.any():
+            # every hard-clear candidate passes a live other-plane atom
+            soft_xy = t.node_xy[t.n_hard:][live[t.n_hard:]]
+            soft_min = kernels.segment_point_distances(soft_xy, seg_a, seg_b).min(axis=0)
+            n = cands.shape[0]
+            path_soft_min = np.minimum(soft_min[:n], soft_min[n:])
+            best = int(np.nonzero(hard_ok)[0][np.argmax(path_soft_min[hard_ok])])
+            return [a_xy, cands[best], b_xy]
         return [a_xy, b_xy]  # least-bad: accept the close pass
 
-    # -- move emission ------------------------------------------------------
+    # -- emission ------------------------------------------------------------
 
     def _set_occ(self, trap: int, value: bool) -> None:
         self.occ[trap] = value
@@ -563,133 +549,66 @@ class _Scheduler:
         if node >= 0:
             self.occ_nodes[node] = value
 
-    def _vec_path(self, waypoints) -> tuple[Vec3, ...]:
-        return tuple(Vec3(float(w[0]), float(w[1]), self.mt_z) for w in waypoints)
+    def _emit(self, m: _Pending) -> None:
+        path = tuple(Vec3(float(w[0]), float(w[1]), self.table.mt_z) for w in self._route(m))
+        if m.dst is None:
+            self.out.append(Move(kind="eject", from_index=m.src, to_index=None,
+                                 exit_um=(float(m.end[0]), float(m.end[1])), path=path))
+        else:
+            self.out.append(Move(kind="transfer", from_index=m.src, to_index=m.dst,
+                                 exit_um=None, path=path))
+            self._set_occ(m.dst, True)
+        self._set_occ(m.src, False)
 
-    def _emit_transfer(self, src: int, dst: int, waypoints) -> None:
-        self.out.append(
-            Move(kind="transfer", from_index=src, to_index=dst, exit_um=None,
-                 path=self._vec_path(waypoints))
-        )
-        self._set_occ(src, False)
-        self._set_occ(dst, True)
+    # -- main loop -----------------------------------------------------------
 
-    def _emit_eject(self, src: int, exit_xy: np.ndarray, waypoints) -> None:
-        self.out.append(
-            Move(kind="eject", from_index=src, to_index=None,
-                 exit_um=(float(exit_xy[0]), float(exit_xy[1])),
-                 path=self._vec_path(waypoints))
-        )
-        self._set_occ(src, False)
-
-    # -- main loops ----------------------------------------------------------
-
-    def schedule_transfers(self, pairs: Sequence[tuple[int, int]]) -> None:
-        pending: list[tuple[int, int]] = list(pairs)
-        srcs = {s for s, _ in pending}
-        for _, dst in pending:
-            if self.occ[dst] and dst not in srcs:
+    def schedule(self, moves: Sequence[_Pending]) -> None:
+        """Emit ``moves`` in an executable order.  Each pass emits the first
+        executable move that no pending source blocks; otherwise the first
+        executable move (deferrals deadlocked); otherwise it stages the first
+        swap cycle through a free site."""
+        pending = list(moves)
+        srcs = {m.src for m in pending}
+        for m in pending:
+            if m.dst is not None and self.occ[m.dst] and m.dst not in srcs:
                 raise PlanInfeasibleError(
-                    f"destination trap {dst} is occupied and never vacated"
+                    f"destination trap {m.dst} is occupied and never vacated"
                 )
-        geom = [self._near(self.xy[s], self.xy[d], {s, d}) for s, d in pending]
         while pending:
-            pending_srcs = {s for s, _ in pending}
-            progressed = False
-
-            # matching order; defer moves whose blockers will be vacated
-            for i, (src, dst) in enumerate(pending):
-                if not self.occ[src] or self.occ[dst]:
+            srcs = {m.src for m in pending}
+            pick = None
+            for i, m in enumerate(pending):
+                if not self._executable(m):
                     continue
-                live_hard = [b for b in geom[i][0] if self.occ[b]]
-                if any(b in pending_srcs for b in live_hard):
-                    continue  # wait for the blocker to move out of the way
-                live_soft = [b for b in geom[i][1] if self.occ[b]]
-                path = self._route(self.xy[src], self.xy[dst], {src, dst},
-                                   live_hard, live_soft)
-                self._emit_transfer(src, dst, path)
-                pending.pop(i)
-                geom.pop(i)
-                progressed = True
-                break
-            if progressed:
-                continue
-
-            # swap/cycle: every executable move drops onto a pending source
-            staged = False
-            for i, (src, dst) in enumerate(pending):
-                if not self.occ[src] or not self.occ[dst]:
-                    continue
-                stage = self._staging_site(src, pending)
-                if stage is None:
-                    raise PlanInfeasibleError("no free staging site available")
-                path = self._route(self.xy[src], self.xy[stage], {src, stage})
-                self._emit_transfer(src, stage, path)
-                pending[i] = (stage, dst)
-                geom[i] = self._near(self.xy[stage], self.xy[dst], {stage, dst})
-                staged = True
-                break
-            if staged:
-                continue
-
-            # deferral deadlock: force the first executable move through
-            forced = False
-            for i, (src, dst) in enumerate(pending):
-                if not self.occ[src] or self.occ[dst]:
-                    continue
-                path = self._route(self.xy[src], self.xy[dst], {src, dst})
-                self._emit_transfer(src, dst, path)
-                pending.pop(i)
-                geom.pop(i)
-                forced = True
-                break
-            if not forced:
-                raise PlanInfeasibleError("no executable move ordering exists")
-
-    def schedule_ejections(self, sources: Sequence[int], margin: float,
-                           plane_indices: Sequence[int]) -> None:
-        exits = _eject_exits(self.table.layout, tuple(plane_indices), margin,
-                             self.table.policy.fov_lateral_um)
-        pending = [(src, np.asarray(exits[src])) for src in sources]
-        geom = [self._near(self.xy[s], e, {s}) for s, e in pending]
-        while pending:
-            pending_srcs = {s for s, _ in pending}
-            progressed = False
-            for i, (src, exit_xy) in enumerate(pending):
-                if not self.occ[src]:
-                    pending.pop(i)  # atom already gone; nothing to eject
-                    geom.pop(i)
-                    progressed = True
+                if pick is None:
+                    pick = i
+                if not any(b in srcs and self.occ[b] for b in m.near_hard):
+                    pick = i
                     break
-                live_hard = [b for b in geom[i][0] if self.occ[b]]
-                if any(b in pending_srcs for b in live_hard):
-                    continue
-                live_soft = [b for b in geom[i][1] if self.occ[b]]
-                path = self._route(self.xy[src], exit_xy, {src}, live_hard, live_soft)
-                self._emit_eject(src, exit_xy, path)
-                pending.pop(i)
-                geom.pop(i)
-                progressed = True
-                break
-            if progressed:
+            if pick is not None:
+                self._emit(pending.pop(pick))
                 continue
-            # mutual blocking: force the first pending ejection through
-            src, exit_xy = pending[0]
-            path = self._route(self.xy[src], exit_xy, {src})
-            self._emit_eject(src, exit_xy, path)
-            pending.pop(0)
-            geom.pop(0)
+            # every loaded source drops onto an occupied site: a swap cycle
+            i = next((i for i, m in enumerate(pending) if self.occ[m.src]), None)
+            if i is None:
+                raise PlanInfeasibleError("no executable move ordering exists")
+            src, dst = pending[i].src, pending[i].dst
+            stage = self._staging_site(src, {m.dst for m in pending})
+            if stage is None:
+                raise PlanInfeasibleError("no free staging site available")
+            self._emit(self.transfer(src, stage))
+            pending[i] = self.transfer(stage, dst)
 
-    def _staging_site(self, src: int, pending: Sequence[tuple[int, int]]) -> Optional[int]:
-        reserved = {d for _, d in pending}
-        best = None
-        for cand in self.stage_candidates:
-            if self.occ[cand] or self.is_target[cand] or cand in reserved or cand == src:
-                continue
-            dist = float(np.hypot(*(self.xy[cand] - self.xy[src])))
-            if best is None or dist < best[0] - 1e-12:
-                best = (dist, cand)
-        return None if best is None else best[1]
+    def _staging_site(self, src: int, reserved: set) -> Optional[int]:
+        """Nearest free in-plane non-target site that no pending move
+        drops onto."""
+        t = self.table
+        sites = t.nodes[:t.n_hard]
+        ok = ~self.occ[sites] & ~t.is_target[sites] & ~np.isin(sites, list(reserved))
+        if not ok.any():
+            return None
+        d = np.hypot(*(self.xy[sites[ok]] - self.xy[src]).T)
+        return int(sites[ok][np.argmin(d)])
 
 
 def order_moves(
@@ -697,15 +616,12 @@ def order_moves(
     occupancy,
     layout: TrapLayout,
     policy: PlannerPolicy = PlannerPolicy(),
-    mt_z: Optional[float] = None,
-    stage_candidates: Optional[Sequence[int]] = None,
-    hard_indices: Optional[Sequence[int]] = None,
 ) -> tuple[Move, ...]:
     """Order (source trap, destination trap) transfers into an executable,
     collision-aware sequence.
 
-    ``hard_indices`` names the traps treated as collision obstacles (defaults
-    to the traps within 1 um of the MT plane, i.e. the plane being sorted).
+    The plane being sorted is the traps within 1 um of the mean z of the
+    traps involved: they are the collision obstacles and the staging sites.
     """
     occ = as_occupancy(occupancy, len(layout.traps))
     for src, dst in matching:
@@ -713,17 +629,15 @@ def order_moves(
             raise ValueError("transfers need distinct source and destination")
         if not occ[src]:
             raise ValueError(f"source trap {src} is empty")
-    if mt_z is None:
-        involved = {i for pair in matching for i in pair}
-        mt_z = float(np.mean([layout.traps[i].position.z for i in involved])) if involved else 0.0
-    if stage_candidates is None:
-        stage_candidates = range(len(layout.traps))
-    if hard_indices is None:
-        z = layout.positions()[:, 2]
-        hard_indices = [int(i) for i in np.nonzero(np.abs(z - mt_z) <= 1.0)[0]]
-    table = _plane_table(layout, tuple(int(i) for i in hard_indices), mt_z, policy)
-    sched = _Scheduler(table, occ, stage_candidates)
-    sched.schedule_transfers(matching)
+    for ends in zip(*matching):
+        if len(set(ends)) < len(ends):
+            raise ValueError("a trap may be the source of one transfer and the destination of one")
+    involved = {i for pair in matching for i in pair}
+    mt_z = float(np.mean([layout.traps[i].position.z for i in involved])) if involved else 0.0
+    z = layout.positions()[:, 2]
+    hard = tuple(int(i) for i in np.nonzero(np.abs(z - mt_z) <= 1.0)[0])
+    sched = _Scheduler(_plane_table(layout, hard, mt_z, policy), occ)
+    sched.schedule([sched.transfer(src, dst) for src, dst in matching])
     return tuple(sched.out)
 
 
@@ -766,9 +680,9 @@ def plan_plane(
             used.add(src)
     surplus = [s for s in free_sources if s not in used]
 
-    sched = _Scheduler(table, occ, stage_candidates=idx)
-    sched.schedule_transfers(pairs)
-    sched.schedule_ejections(surplus, policy.eject_margin_um, idx)
+    sched = _Scheduler(table, occ)
+    sched.schedule([sched.transfer(src, dst) for src, dst in pairs])
+    sched.schedule([sched.eject(src) for src in surplus])
     return MovePlan(plane_index=plane_index, mt_z_um=plane.z_center, moves=tuple(sched.out))
 
 
@@ -782,11 +696,8 @@ def plan_remove_all(
     """One ejection per loaded trap in the plane."""
     occ = as_occupancy(occupancy, len(layout.traps))
     plane = decomposition.planes[plane_index]
-    idx = list(plane.indices)
-    loaded = [i for i in idx if occ[i]]
-    sched = _Scheduler(_plane_table(layout, plane.indices, plane.z_center, policy),
-                       occ, stage_candidates=idx)
-    sched.schedule_ejections(loaded, policy.eject_margin_um, idx)
+    sched = _Scheduler(_plane_table(layout, plane.indices, plane.z_center, policy), occ)
+    sched.schedule([sched.eject(i) for i in plane.indices if occ[i]])
     return MovePlan(plane_index=plane_index, mt_z_um=plane.z_center, moves=tuple(sched.out))
 
 

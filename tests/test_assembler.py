@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import itertools
 import json
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweezer_forge import assembler as asm
+from tweezer_forge import configs
 from tweezer_forge import geometry as geo
 from tweezer_forge import kernels
 from conftest import random_valid_occupancy
@@ -20,6 +23,39 @@ def line_layout(n, pitch=5.0, targets=None):
     return geo.TrapLayout(
         tuple(geo.TrapSite(geo.Vec3(*map(float, p)), is_target=t) for p, t in zip(pts, targets))
     )
+
+
+def point_layout(points, targets=()):
+    return geo.TrapLayout(tuple(
+        geo.TrapSite(geo.Vec3(*map(float, p)), is_target=(i in targets))
+        for i, p in enumerate(points)
+    ))
+
+
+def pairs_of(moves):
+    return [(m.from_index, m.to_index) for m in moves]
+
+
+def min_clearance(move, xy):
+    pts = np.array([[p.x, p.y] for p in move.path])
+    return kernels.segment_point_distances(xy[None, :], pts[:-1], pts[1:]).min()
+
+
+@contextlib.contextmanager
+def emit_cap(limit):
+    """Fail, instead of hanging, once a schedule emits more than ``limit``
+    moves."""
+    emit = asm._Scheduler._emit
+    count = itertools.count(1)
+
+    def capped(self, move):
+        if next(count) > limit:
+            raise AssertionError(f"more than {limit} moves emitted")
+        emit(self, move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asm._Scheduler, "_emit", capped)
+        yield
 
 
 def brute_force_min_cost(cost):
@@ -137,6 +173,77 @@ class TestOrderMoves:
         ).min()
         assert d >= asm.PlannerPolicy().collision_radius_um - 1e-9
 
+    def test_swap_cycle_behind_staged_atom_terminates(self):
+        # staging 0 into 1 puts an atom on the path 3 -> 0, and 1 is itself
+        # a pending source: the move 3 -> 0 is forced around it rather than
+        # restaging 1 back and forth
+        lay = line_layout(4, targets=[True, False, False, False])
+        occ = np.array([True, False, False, True])
+        with emit_cap(50):
+            moves = asm.order_moves([(0, 3), (3, 0)], occ, lay)
+        assert pairs_of(moves) == [(0, 1), (3, 0), (1, 3)]
+        assert len(moves[1].path) == 3
+        radius = asm.PlannerPolicy().collision_radius_um
+        assert min_clearance(moves[1], lay.positions()[1, :2]) >= radius - 1e-9
+        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
+        assert out[0] and out[3] and not out[1] and not out[2]
+
+    def test_staging_stays_in_plane(self):
+        # trap 3 is the nearest free non-target site, but 5 um above the plane
+        lay = point_layout([(0, 0, 0), (5, 0, 0), (0, 8, 0), (0, 3, 5)], targets=(0, 1))
+        occ = np.array([True, True, False, False])
+        moves = asm.order_moves([(0, 1), (1, 0)], occ, lay)
+        assert pairs_of(moves) == [(0, 2), (1, 0), (2, 1)]
+        assert all(m.path[0].z == 0.0 for m in moves)
+
+    def test_deferral_deadlock_forces_first_move(self):
+        # each move's straight path passes the other's source
+        lay = point_layout([(-5, 0, 0), (0, 0, 0), (5, 0, 0), (15, 0, 0)])
+        occ = np.array([False, True, True, False])
+        moves = asm.order_moves([(1, 3), (2, 0)], occ, lay)
+        assert pairs_of(moves) == [(1, 3), (2, 0)]
+        assert len(moves[0].path) == 3 and len(moves[1].path) == 2
+        radius = asm.PlannerPolicy().collision_radius_um
+        assert min_clearance(moves[0], lay.positions()[2, :2]) >= radius - 1e-9
+
+    @pytest.mark.parametrize("matching", [[(0, 2), (1, 2)], [(0, 1), (0, 2)]])
+    def test_repeated_trap_rejected(self, matching):
+        lay = line_layout(4)
+        with emit_cap(50), pytest.raises(ValueError, match="one transfer"):
+            asm.order_moves(matching, np.array([True, True, False, False]), lay)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(2, 5),
+        ny=st.integers(1, 4),
+        pitch=st.sampled_from([3.0, 4.0, 5.0]),
+    )
+    def test_random_matchings_with_cycles(self, seed, nx, ny, pitch):
+        """Sources loaded and distinct, destinations distinct and either
+        empty or another source, so matchings hold chains and cycles."""
+        rng = np.random.default_rng(seed)
+        n = nx * ny
+        pts = [(i * pitch, j * pitch, 0.0) for j in range(ny) for i in range(nx)]
+        lay = point_layout(pts, targets=set(np.nonzero(rng.random(n) < 0.4)[0].tolist()))
+        occ = rng.random(n) < 0.5
+        occ[rng.integers(n)] = True
+        loaded = np.nonzero(occ)[0]
+        srcs = rng.choice(loaded, size=rng.integers(1, loaded.size + 1), replace=False)
+        pool = np.concatenate([np.nonzero(~occ)[0], srcs])
+        dsts = rng.choice(pool, size=srcs.size, replace=False)
+        matching = [(int(s), int(d)) for s, d in zip(srcs, dsts) if s != d]
+        try:
+            with emit_cap(2 * len(matching)):
+                moves = asm.order_moves(matching, occ, lay)
+        except asm.PlanInfeasibleError:
+            return
+        want = occ.copy()
+        want[[s for s, _ in matching]] = False
+        want[[d for _, d in matching]] = True
+        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
+        np.testing.assert_array_equal(out, want)
+
 
 class TestPlanPlane:
     def test_already_assembled_empty_plan(self, grid_layout_46):
@@ -207,6 +314,54 @@ class TestPlanPlane:
             d = np.linalg.norm(hull_xy - exit_xy, axis=1).min()
             assert d >= 19.0  # ~20 um outside, interior points are further
             assert np.max(np.abs(exit_xy)) <= 50.0
+
+
+CONFIG_MAKERS = {
+    "bilayer72": configs.bilayer72_config,
+    "four_plane": configs.four_plane_config,
+    "one_plane": configs.one_plane_config,
+    **{name: functools.partial(configs.preset_experiment_config, name)
+       for name in configs.PRESET_EXPERIMENT_PARAMS},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cached_config(name):
+    return CONFIG_MAKERS[name]()
+
+
+class TestPlanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CONFIG_MAKERS)), seed=st.integers(0, 2**32 - 1))
+    def test_plan_plane_invariants(self, name, seed):
+        """On a trigger-satisfying occupancy every sorted plane's plan
+        replays, fills exactly the plane's targets, stays in the plane and
+        is reproducible."""
+        cfg = cached_config(name)
+        lay, dec = cfg.layout, cfg.decomposition
+        plane_of = dec.plane_of(len(lay.traps))
+        targets = np.array([t.is_target for t in lay.traps])
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            occ = rng.random(len(lay.traps)) < cfg.p_load
+            if all(occ[list(pl.indices)].sum() >= targets[list(pl.indices)].sum()
+                   for pl in dec.planes):
+                break
+        else:
+            pytest.fail("no trigger-satisfying draw")
+        for p, plane in enumerate(dec.planes):
+            if not targets[list(plane.indices)].any():
+                continue
+            plan = asm.plan_plane(occ, lay, dec, p, cfg.planner)
+            out = asm.apply_plan_lossless(occ, plan)
+            mine = plane_of == p
+            np.testing.assert_array_equal(out[mine], targets[mine])
+            np.testing.assert_array_equal(out[~mine], occ[~mine])
+            for m in plan.moves:
+                assert plane_of[m.from_index] == p
+                assert m.to_index is None or plane_of[m.to_index] == p
+                assert all(pt.z == plane.z_center for pt in m.path)
+            assert asm.plan_plane(occ, lay, dec, p, cfg.planner) == plan
 
 
 class TestPlaneTable:
