@@ -234,7 +234,7 @@ class TestOrderMoves:
         dsts = rng.choice(pool, size=srcs.size, replace=False)
         matching = [(int(s), int(d)) for s, d in zip(srcs, dsts) if s != d]
         try:
-            with emit_cap(2 * len(matching)):
+            with emit_cap(2 * len(matching)):  # at most two moves per pair
                 moves = asm.order_moves(matching, occ, lay)
         except asm.PlanInfeasibleError:
             return
