@@ -168,8 +168,15 @@ def _check_paraxial(points: np.ndarray) -> None:
 
 
 def _slm_field(slm: SlmConfig, phases: np.ndarray) -> np.ndarray:
+    """Input amplitude times exp(1j * phases), built in one complex array
+    with no full-size temporary."""
     gy, gx = slm.input_amplitude()
-    return (gy[:, None] * gx[None, :]) * np.exp(1j * phases)
+    w = np.empty(phases.shape, dtype=np.complex128)
+    np.cos(phases, out=w.real)
+    np.sin(phases, out=w.imag)
+    w *= gx
+    w *= gy[:, None]
+    return w
 
 
 def _input_norm(slm: SlmConfig) -> float:
@@ -375,7 +382,7 @@ def sample_intensity_volume(
     _check_paraxial(corners)
     dx = (region.x_max - region.x_min) / nx
     dy = (region.y_max - region.y_min) / ny
-    dz = (region.z_max - region.z_min) / nz if nz > 0 else 0.0
+    dz = (region.z_max - region.z_min) / nz
     vx = region.x_min + (np.arange(nx) + 0.5) * dx
     vy = region.y_min + (np.arange(ny) + 0.5) * dy
     if nz == 1:
@@ -388,7 +395,7 @@ def sample_intensity_volume(
     data = kernels.intensity_slices(w, xs, ys, vx, vy, vz, slm.alpha, slm.gamma)
     peak = data.max()
     if peak > 0:
-        data = data / peak
+        data /= peak
     return IntensityVolume(
         origin=Vec3(float(vx[0]), float(vy[0]), float(vz[0])),
         voxel_size_um=(float(dx), float(dy), float(dz)),

@@ -12,6 +12,13 @@ two matrices, ``point_factors(xs, ys, points, alpha, gamma) -> (ux, uy)``.
 ``trap_fields(field, ux, uy)`` and ``back_field(coeff, ux, uy)`` take them
 built, so a WGS solve builds them once for its layout.
 
+``intensity_slices`` splits the same phase the other way: the lateral
+factors ``exp(i*alpha*outer(xs, vx))`` and ``exp(i*alpha*outer(ys, vy))``
+are built once per volume, and each z scales their rows by the chirps
+``exp(i*gamma*z*xs**2)`` and ``exp(i*gamma*z*ys**2)``.  The caller builds
+the SLM field once per call and keeps nothing past it, so a volume leaves
+no cache behind to raise the memory peak of the work that follows.
+
 A fluorescence spot is separable too: ``spot_factors`` gives each spot's
 windowed row and column Gaussians, and an image is the background plus
 ``(gy * amps[:, None]).T @ gx``, which ``render_spots`` accumulates.
@@ -49,12 +56,23 @@ def back_field(coeff, ux, uy):
     return (uy.conj() * coeff) @ ux.conj().T
 
 
+def _lateral_factors(coords, points_lat, alpha):
+    """exp(i*alpha*c*P) as an (n_coords, n_points) matrix."""
+    return np.exp(1j * alpha * np.outer(coords, points_lat))
+
+
 def intensity_slices(field, xs, ys, vx, vy, vz, alpha, gamma):
-    """|field propagated to voxel centres|^2 as a (nz, ny, nx) volume."""
+    """|field propagated to voxel centres|^2 as a (nz, ny, nx) volume.
+
+    The lateral factors are built once; each z scales their rows by the
+    pixel chirps exp(i*gamma*z*xs^2) and exp(i*gamma*z*ys^2)."""
+    lat_x = _lateral_factors(xs, vx, alpha)
+    lat_y = _lateral_factors(ys, vy, alpha)
+    x2, y2 = xs * xs, ys * ys
     out = np.empty((vz.size, vy.size, vx.size))
     for k, z in enumerate(vz):
-        ux = _axis_factors(xs, vx, np.full(vx.size, z), alpha, gamma)
-        uy = _axis_factors(ys, vy, np.full(vy.size, z), alpha, gamma)
+        ux = lat_x * np.exp(1j * gamma * z * x2)[:, None]
+        uy = lat_y * np.exp(1j * gamma * z * y2)[:, None]
         s = uy.T @ (field @ ux)
         out[k] = np.abs(s) ** 2
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,29 @@ class TestTrapAmplitudes:
         assert np.ptp(np.angle(ratios * np.exp(-1j * 1.234))) < 1e-9
 
 
+class TestSlmField:
+    def test_matches_exp_of_phases(self):
+        rng = np.random.default_rng(8)
+        phases = rng.uniform(0.0, 2.0 * math.pi, (SMALL_SLM.ny, SMALL_SLM.nx))
+        phases[0, :4] = [0.0, np.nextafter(2.0 * math.pi, 0.0), math.pi, 0.5 * math.pi]
+        gy, gx = SMALL_SLM.input_amplitude()
+        expected = (gy[:, None] * gx[None, :]) * np.exp(1j * phases)
+        got = holo._slm_field(SMALL_SLM, phases)
+        assert got.shape == phases.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_trap_amplitudes_unchanged(self):
+        lay = grid_layout(3, 8.0)
+        mask, _ = holo.compute_phase_mask(lay, SMALL_SLM, holo.WgsConfig(seed=1))
+        gy, gx = SMALL_SLM.input_amplitude()
+        xs, ys = SMALL_SLM.pixel_coords()
+        field = (gy[:, None] * gx[None, :]) * np.exp(1j * mask.phases)
+        ux, uy = kernels.point_factors(xs, ys, lay.positions(), SMALL_SLM.alpha, SMALL_SLM.gamma)
+        expected = kernels.trap_fields(field, ux, uy) / (gy.sum() * gx.sum())
+        got = holo.trap_amplitudes(mask, lay, SMALL_SLM)
+        assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) <= 1e-12
+
+
 class TestVolume:
     def test_peak_at_trap(self):
         lay = single_trap_layout(3.0, -2.0, 0.0)
@@ -179,6 +203,37 @@ class TestVolume:
             holo.sample_intensity_volume(
                 mask, SMALL_SLM, holo.Box(-10, 10, -10, 10, -10, 10), (1000, 1000, 1000)
             )
+
+    def test_lateral_factors_built_once_per_volume(self, monkeypatch):
+        calls = []
+        build = kernels._lateral_factors
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_lateral_factors", counted)
+        mask = holo.PhaseMask(np.zeros((256, 256)))
+        counts = []
+        for nz in (1, 12):
+            calls.clear()
+            holo.sample_intensity_volume(mask, SMALL_SLM, holo.Box(-4, 4, -4, 4, -6, 6), (8, 8, nz))
+            counts.append(len(calls))
+        assert counts == [2, 2]  # x and y, whatever the slice count
+
+    def test_nothing_retained_past_the_call(self):
+        rng = np.random.default_rng(4)
+        mask = holo.PhaseMask(rng.uniform(0.0, 2.0 * math.pi, (256, 256)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vol = holo.sample_intensity_volume(
+                mask, SMALL_SLM, holo.Box(-8, 8, -8, 8, -10, 10), (32, 32, 12))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the SLM field (1 MB here) and the factors must not outlive the call
+        assert abs(after - vol.data.nbytes - before) <= 64 * 1024
 
 
 class TestUniformityRms:

@@ -67,6 +67,29 @@ def test_intensity_slices_match_direct_sum(problem):
     assert np.max(np.abs(got - expected)) / expected.max() < 1e-9
 
 
+def test_intensity_slices_match_direct_sum_off_square():
+    # nx != ny, distinct pixel grids, distinct voxel counts, and z = 0: a
+    # kernel that swapped the x and y chirps or factors would fail here
+    rng = np.random.default_rng(13)
+    ny, nx = 96, 128
+    field = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+    xs = (np.arange(nx) - (nx - 1) / 2) * 20.0
+    ys = (np.arange(ny) - (ny - 1) / 2) * 17.0 + 40.0
+    a, g = 7.392e-4, 3.696e-8
+    vx = np.linspace(-5, 3, 6)
+    vy = np.linspace(-2, 4, 11)
+    vz = np.array([-7.0, 0.0, 9.0])
+    expected = np.empty((vz.size, vy.size, vx.size))
+    for k, z in enumerate(vz):
+        for j, y in enumerate(vy):
+            for i, x in enumerate(vx):
+                s = (field * np.exp(1j * _pixel_phase(xs, ys, (x, y, z), a, g))).sum()
+                expected[k, j, i] = abs(s) ** 2
+    got = kernels.intensity_slices(field, xs, ys, vx, vy, vz, a, g)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) / expected.max() < 1e-9
+
+
 def test_segment_distances_match_pair_loop():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-20, 20, (40, 2))
