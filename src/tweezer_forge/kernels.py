@@ -62,10 +62,8 @@ def _lateral_factors(coords, points_lat, alpha):
 
 
 def intensity_slices(field, xs, ys, vx, vy, vz, alpha, gamma):
-    """|field propagated to voxel centres|^2 as a (nz, ny, nx) volume.
-
-    The lateral factors are built once; each z scales their rows by the
-    pixel chirps exp(i*gamma*z*xs^2) and exp(i*gamma*z*ys^2)."""
+    """|field propagated to voxel centres|^2 as a (nz, ny, nx) volume; the
+    lateral factors are built once and each z applies its chirps."""
     lat_x = _lateral_factors(xs, vx, alpha)
     lat_y = _lateral_factors(ys, vy, alpha)
     x2, y2 = xs * xs, ys * ys

@@ -28,6 +28,17 @@ def _pixel_phase(xs, ys, point, a, g):
     return a * (xx * x + yy * y) + g * z * (xx**2 + yy**2)
 
 
+def _direct_intensity(field, xs, ys, vx, vy, vz, a, g):
+    """|unfactored sum over every pixel|^2 at each voxel, as (nz, ny, nx)."""
+    out = np.empty((vz.size, vy.size, vx.size))
+    for k, z in enumerate(vz):
+        for j, y in enumerate(vy):
+            for i, x in enumerate(vx):
+                s = (field * np.exp(1j * _pixel_phase(xs, ys, (x, y, z), a, g))).sum()
+                out[k, j, i] = abs(s) ** 2
+    return out
+
+
 def test_trap_fields_match_brute_force(problem):
     field, xs, ys, traps, a, g = problem
     # direct unfactored sum over every pixel
@@ -57,12 +68,7 @@ def test_intensity_slices_match_direct_sum(problem):
     vx = np.linspace(-4, 4, 9)
     vy = np.linspace(-4, 4, 7)
     vz = np.linspace(-6, 6, 5)
-    expected = np.empty((vz.size, vy.size, vx.size))
-    for k, z in enumerate(vz):
-        for j, y in enumerate(vy):
-            for i, x in enumerate(vx):
-                s = (field * np.exp(1j * _pixel_phase(xs, ys, (x, y, z), a, g))).sum()
-                expected[k, j, i] = abs(s) ** 2
+    expected = _direct_intensity(field, xs, ys, vx, vy, vz, a, g)
     got = kernels.intensity_slices(field, xs, ys, vx, vy, vz, a, g)
     assert np.max(np.abs(got - expected)) / expected.max() < 1e-9
 
@@ -79,12 +85,7 @@ def test_intensity_slices_match_direct_sum_off_square():
     vx = np.linspace(-5, 3, 6)
     vy = np.linspace(-2, 4, 11)
     vz = np.array([-7.0, 0.0, 9.0])
-    expected = np.empty((vz.size, vy.size, vx.size))
-    for k, z in enumerate(vz):
-        for j, y in enumerate(vy):
-            for i, x in enumerate(vx):
-                s = (field * np.exp(1j * _pixel_phase(xs, ys, (x, y, z), a, g))).sum()
-                expected[k, j, i] = abs(s) ** 2
+    expected = _direct_intensity(field, xs, ys, vx, vy, vz, a, g)
     got = kernels.intensity_slices(field, xs, ys, vx, vy, vz, a, g)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) / expected.max() < 1e-9
