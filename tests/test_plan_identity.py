@@ -6,6 +6,12 @@ plane's ``plan_plane`` result in canonical ``plan_to_dict`` JSON.  Any change
 to a move, a waypoint or a move's order changes a digest, so planner
 refactors that must not change behaviour are checked bit for bit.
 
+Beside each full digest the fixture holds a skeleton digest: the same plan
+without interior waypoints, i.e. each move's kind, traps, exit and first and
+last path point, in order.  A routing change that keeps every move changes
+full digests only; its re-recording must leave every skeleton digest as it
+was.
+
 Re-record only after a deliberate change of planning behaviour:
 
     PYTHONPATH=src python tests/test_plan_identity.py --record
@@ -39,10 +45,21 @@ def sorted_planes(cfg):
     ]
 
 
-def plan_digest(plan: asm.MovePlan) -> str:
-    doc = asm.plan_to_dict(asm.AssemblyPlan((plan,)))
+def _sha256(doc) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def plan_digest(plan: asm.MovePlan) -> str:
+    return _sha256(asm.plan_to_dict(asm.AssemblyPlan((plan,))))
+
+
+def skeleton_digest(plan: asm.MovePlan) -> str:
+    """Digest of the plan with each move's path cut to its end points."""
+    doc = asm.plan_to_dict(asm.AssemblyPlan((plan,)))
+    for move in doc["planes"][0]["moves"]:
+        move["path_um"] = [move["path_um"][0], move["path_um"][-1]]
+    return _sha256(doc)
 
 
 def encode_occupancy(occ: np.ndarray) -> str:
@@ -76,14 +93,13 @@ def record() -> dict:
     for k, (name, make) in enumerate(CONFIGS.items()):
         cfg = make()
         planes = sorted_planes(cfg)
-        shots = []
+        shots, skeletons = [], []
         for occ in triggered_occupancies(cfg, SHOTS_PER_CONFIG, (RECORD_SEED, k)):
-            digests = [
-                plan_digest(asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner))
-                for p in planes
-            ]
-            shots.append([encode_occupancy(occ)] + digests)
-        doc[name] = {"planes": planes, "shots": shots}
+            plans = [asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
+                     for p in planes]
+            shots.append([encode_occupancy(occ)] + [plan_digest(q) for q in plans])
+            skeletons.append([skeleton_digest(q) for q in plans])
+        doc[name] = {"planes": planes, "shots": shots, "skeletons": skeletons}
     return doc
 
 
@@ -92,8 +108,29 @@ def corpus():
     return json.loads(FIXTURE.read_text())
 
 
+@pytest.fixture(scope="module")
+def corpus_plans(corpus):
+    """name -> per shot, (occupancy, plan of each sorted plane), planned once
+    for both digest tests."""
+    out = {}
+
+    def plans(name):
+        if name not in out:
+            cfg = CONFIGS[name]()
+            n = len(cfg.layout.traps)
+            out[name] = []
+            for hex_occ, *_ in corpus[name]["shots"]:
+                occ = decode_occupancy(hex_occ, n)
+                out[name].append((occ, [
+                    asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
+                    for p in corpus[name]["planes"]
+                ]))
+        return out[name]
+    return plans
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_plans_match_recorded_digests(corpus, name):
+def test_plans_match_recorded_digests(corpus, corpus_plans, name):
     cfg = CONFIGS[name]()
     entry = corpus[name]
     planes = sorted_planes(cfg)
@@ -103,15 +140,27 @@ def test_plans_match_recorded_digests(corpus, name):
     targets = np.array([t.is_target for t in cfg.layout.traps])
     plane_of = cfg.decomposition.plane_of(n)
     mismatches = []
-    for shot, (hex_occ, *digests) in enumerate(entry["shots"]):
-        occ = decode_occupancy(hex_occ, n)
-        for p, want in zip(planes, digests):
-            plan = asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
+    for shot, ((occ, plans), (_, *digests)) in enumerate(zip(corpus_plans(name), entry["shots"])):
+        for p, plan, want in zip(planes, plans, digests):
             if plan_digest(plan) != want:
                 mismatches.append((shot, p))
             out = asm.apply_plan_lossless(occ, plan)
             assert out[targets & (plane_of == p)].all(), (shot, p)
     assert not mismatches, f"{len(mismatches)} plans differ, first {mismatches[:5]}"
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_plan_skeletons_match_recorded_digests(corpus, corpus_plans, name):
+    """Every move keeps its kind, traps, exit, end points and order."""
+    entry = corpus[name]
+    assert len(entry["skeletons"]) == SHOTS_PER_CONFIG
+    mismatches = [
+        (shot, p)
+        for shot, ((_, plans), digests) in enumerate(zip(corpus_plans(name), entry["skeletons"]))
+        for p, plan, want in zip(entry["planes"], plans, digests)
+        if skeleton_digest(plan) != want
+    ]
+    assert not mismatches, f"{len(mismatches)} plan skeletons differ, first {mismatches[:5]}"
 
 
 def test_bounded_memo_keeps_plans(corpus, monkeypatch):
