@@ -35,7 +35,8 @@ class ExecutabilityError(RuntimeError):
 @dataclass(frozen=True)
 class PlannerPolicy:
     collision_radius_um: float = 2.0
-    # occupied traps further than this from the MT plane never affect paths
+    # other-plane trap sites nearer than this to the MT plane are corridor
+    # junctions (always free); occupancy in other planes never affects paths
     z_clearance_um: float = 17.0
     cost_metric: str = "euclidean"  # or "squared_euclidean"
     eject_margin_um: float = 20.0
@@ -149,37 +150,29 @@ def assignment_min_cost(sources, targets, metric: str = "euclidean") -> np.ndarr
 # ---------------------------------------------------------------------------
 
 _GRAPH_REACH_UM = 8.0  # covers one lattice step or diagonal
-_PENALTY_UNIT = 1000.0  # soft penalties are 1, 2 or 4 units
 # entries per memo, keyed by route endpoints: a plane of n traps has at most
 # about 2 n^2 endpoint pairs (10k for a bilayer72 plane)
 _MEMO_LIMIT = 16_384
-
-
-def _penalty_units(d: np.ndarray, reach: float) -> np.ndarray:
-    """Graded cost, in units of ``_PENALTY_UNIT``, of passing ``d`` um from an
-    occupied other-plane atom: 4 below 1 um, 2 below 1.5 um, 1 below
-    ``reach`` and 0 beyond."""
-    units = np.select([d < 1.0, d < 1.5], [4, 2], 1)
-    return np.where(d < reach, units, 0).astype(np.int8)
 
 
 class _PlaneTable:
     """Planner geometry of one plane, fixed by (layout, plane, policy).
 
     Nodes are the in-plane ("hard") trap sites followed by the other-plane
-    ("soft") sites within the axial clearance; a node's position in that
+    junction sites within the axial clearance; a node's position in that
     order indexes every table below.  The in-plane nodes are also the
-    staging sites of swap cycles.  Every segment the scheduler tests joins
-    fixed points (trap sites, eject exits and the detour waypoints of a
-    pair), so which traps can block it, and how badly, is computed once
-    here; a planning call only applies the occupancy.
+    staging sites of swap cycles and the only possible blockers: the
+    simulator charges other-plane atoms at a move's pick and drop points,
+    never along its path.  Every segment the scheduler tests joins fixed
+    points (trap sites, eject exits and the detour waypoints of a pair), so
+    which in-plane traps can block it is computed once here; a planning call
+    only applies the occupancy.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
     sit in the middle of lattice corridors, so hopping across empty sites
-    follows the corridors exactly; other-plane sites double as junction
-    waypoints (passing over an empty trap is harmless).  An edge is unusable
-    while an in-plane trap it passes (other than its ends) is occupied, and
-    each occupied other-plane trap it passes adds a graded penalty.
+    follows the corridors exactly; other-plane sites are junctions that are
+    always free, whatever their occupancy.  An edge is unusable while an
+    in-plane trap it passes (other than its ends) is occupied.
     """
 
     def __init__(self, layout: TrapLayout, hard_key: tuple, mt_z: float,
@@ -193,9 +186,8 @@ class _PlaneTable:
         self.is_target = np.array([t.is_target for t in layout.traps])
         hard = np.zeros(n, dtype=bool)
         hard[list(hard_key)] = True
-        # other-plane traps near enough in z for the MT column to disturb them
-        soft = (np.abs(pos[:, 2] - mt_z) < policy.z_clearance_um) & ~hard
-        self.nodes = np.concatenate([np.nonzero(hard)[0], np.nonzero(soft)[0]])
+        junction = (np.abs(pos[:, 2] - mt_z) < policy.z_clearance_um) & ~hard
+        self.nodes = np.concatenate([np.nonzero(hard)[0], np.nonzero(junction)[0]])
         self.node_ids = self.nodes.tolist()
         self.n_hard = int(hard.sum())
         self.node_of = np.full(n, -1, dtype=np.intp)
@@ -206,19 +198,15 @@ class _PlaneTable:
         d2 = np.einsum("ijk,ijk->ij", pts[:, None] - pts[None, :], pts[:, None] - pts[None, :])
         self.edge_i, self.edge_j = np.nonzero(np.triu(d2 <= _GRAPH_REACH_UM**2, k=1))
         n_edges = self.edge_i.size
-        dist = kernels.segment_point_distances(pts, pts[self.edge_i], pts[self.edge_j])
-        close = dist < self.radius
-        close[self.edge_i, np.arange(n_edges)] = False  # an edge's own ends
-        close[self.edge_j, np.arange(n_edges)] = False
-        nh = self.n_hard
-        self.edge_hard = close[:nh].T.astype(float)  # edge x in-plane trap
-        self.edge_soft = _PENALTY_UNIT * np.where(  # edge x other-plane trap
-            close[nh:], _penalty_units(dist[nh:], self.radius), 0).T
+        close = self._blockers(pts[self.edge_i], pts[self.edge_j])
+        for ends in (self.edge_i, self.edge_j):  # an edge's own ends
+            own = ends < self.n_hard
+            close[ends[own], np.nonzero(own)[0]] = False
+        self.edge_hard = close.T.astype(float)  # edge x in-plane trap
         # search graph of a route: the nodes, then its start and its end.
         # Arcs are (head, weight slot); the slots are the edges, then the
-        # legs start -> node, node -> end and start -> end, weighted per
-        # route.  Each node lists its end leg first, then its incident edges
-        # in edge order.
+        # legs start -> node and node -> end, weighted per route.  Each node
+        # lists its end leg first, then its incident edges in edge order.
         n_nodes = len(self.node_ids)
         self.start, self.end = n_nodes, n_nodes + 1
         self.heap_key = self.node_ids + [-1, -2]  # heap ties break on trap index
@@ -228,8 +216,7 @@ class _PlaneTable:
         for e, (i, j) in enumerate(zip(self.edge_i.tolist(), self.edge_j.tolist())):
             self.arcs[i].append((j, e))
             self.arcs[j].append((i, e))
-        self.arcs.append([(p, n_edges + p) for p in range(n_nodes)]
-                         + [(self.end, n_edges + 2 * n_nodes)])
+        self.arcs.append([(p, n_edges + p) for p in range(n_nodes)])
         self.arcs.append([])
         self._legs: dict = {}
         self._straights: dict = {}
@@ -244,37 +231,35 @@ class _PlaneTable:
             value = store[key] = build()
         return value
 
-    def _leg_codes(self, dist: np.ndarray) -> np.ndarray:
-        """Per node row: 1 where an in-plane trap blocks the leg, the soft
-        penalty units where an other-plane trap is passed."""
-        codes = _penalty_units(dist, self.radius)
-        codes[:self.n_hard] = dist[:self.n_hard] < self.radius
-        return codes
+    def _blockers(self, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+        """In-plane node x segment: True where the node lies within the
+        collision radius of the segment."""
+        hard_xy = self.node_xy[:self.n_hard]
+        return kernels.segment_point_distances(hard_xy, seg_a, seg_b) < self.radius
 
     def legs(self, point: np.ndarray, outbound: bool) -> np.ndarray:
-        """Leg codes (node x node) of the legs point -> node (``outbound``)
-        or node -> point."""
+        """In-plane blockers (in-plane node x node) of the legs point -> node
+        (``outbound``) or node -> point."""
         def build():
             ends = np.repeat(point[None, :], self.node_xy.shape[0], 0)
             seg_a, seg_b = (ends, self.node_xy) if outbound else (self.node_xy, ends)
-            return self._leg_codes(kernels.segment_point_distances(self.node_xy, seg_a, seg_b))
+            return self._blockers(seg_a, seg_b)
         return self._memo(self._legs, (point.tobytes(), outbound), build)
 
-    def straight(self, a_xy: np.ndarray, b_xy: np.ndarray):
-        """(close, codes) of the straight leg a -> b: the nodes within the
-        collision radius, and the leg codes per node."""
+    def straight(self, a_xy: np.ndarray, b_xy: np.ndarray) -> np.ndarray:
+        """In-plane blockers (one flag per in-plane node) of the straight
+        leg a -> b."""
         def build():
-            d = kernels.segment_point_distances(self.node_xy, a_xy[None, :], b_xy[None, :])
-            return d[:, 0] < self.radius, self._leg_codes(d[:, 0])
+            return self._blockers(a_xy[None, :], b_xy[None, :])[:, 0]
         return self._memo(self._straights, (a_xy.tobytes(), b_xy.tobytes()), build)
 
     def detour(self, a_xy: np.ndarray, b_xy: np.ndarray):
         """Single-waypoint detour candidates of a pair and what blocks them.
 
-        Returns (cands, seg_a, seg_b, rows, blocked): the waypoints inside the
-        field of view, the 2m legs a -> cand then cand -> b, and for each node
-        ``rows`` that comes within the collision radius of some candidate,
-        which candidates it blocks (m columns).
+        Returns (cands, rows, blocked): the waypoints inside the field of
+        view, and for each in-plane node ``rows`` within the collision radius
+        of the leg a -> cand or cand -> b of some candidate, which candidates
+        it blocks (m columns).
         """
         def build():
             seg = b_xy - a_xy
@@ -291,12 +276,11 @@ class _PlaneTable:
                          * perp[None, None, None, :]).reshape(-1, 2)
                 cands = cands[np.abs(cands).max(axis=1) <= self.policy.fov_lateral_um]
             m = cands.shape[0]
-            seg_a = np.concatenate([np.repeat(a_xy[None, :], m, 0), cands])
-            seg_b = np.concatenate([cands, np.repeat(b_xy[None, :], m, 0)])
-            close = kernels.segment_point_distances(self.node_xy, seg_a, seg_b) < self.radius
+            close = self._blockers(np.concatenate([np.repeat(a_xy[None, :], m, 0), cands]),
+                                   np.concatenate([cands, np.repeat(b_xy[None, :], m, 0)]))
             blocked = close[:, :m] | close[:, m:]
             rows = np.nonzero(blocked.any(axis=1))[0]
-            return cands, seg_a, seg_b, rows, blocked[rows]
+            return cands, rows, blocked[rows]
         return self._memo(self._detours, (a_xy.tobytes(), b_xy.tobytes()), build)
 
     @cached_property
@@ -388,15 +372,14 @@ def _exit_point(p: np.ndarray, edges, centroid: np.ndarray, margin: float,
 
 class _Pending(NamedTuple):
     """A move waiting to run.  An ejection has no ``dst``; its ``end`` is its
-    exit.  ``near_hard`` and ``near_soft`` are the in-plane and other-plane
-    traps, other than ``exclude``, close enough to ever block the straight
-    leg; occupancy is applied at scheduling time."""
+    exit.  ``near_hard`` are the in-plane traps, other than ``exclude``,
+    close enough to ever block the straight leg; occupancy is applied at
+    scheduling time."""
     src: int
     dst: Optional[int]
     end: np.ndarray
     exclude: tuple[int, ...]
     near_hard: list[int]
-    near_soft: list[int]
 
 
 class _Scheduler:
@@ -407,30 +390,27 @@ class _Scheduler:
     In-plane occupied traps are collision constraints: a blocked move is
     deferred when the blocker will be vacated by a pending move, otherwise the
     path is routed around it (single waypoint, then a corridor search through
-    empty trap sites).  Occupied traps in *other* planes within the axial
-    clearance are avoided on a best-effort basis only: crossing them costs
-    crosstalk, not a collision, so they never make a plan infeasible.
-    Occupied destinations (swap cycles) are broken by staging through the
-    nearest free in-plane non-target site.
+    empty trap sites and other-plane junctions).  Atoms in other planes are
+    no obstacle: the simulator charges them at a move's pick and drop
+    points, which the matching fixes, and never along its path.  Occupied
+    destinations (swap cycles) are broken by staging through the nearest
+    free in-plane non-target site.
     """
 
     def __init__(self, table: _PlaneTable, occupancy: np.ndarray):
         self.table = table
         self.xy = table.xy
         self.occ = occupancy.copy()
-        self.occ_nodes = self.occ[table.nodes]  # occupancy in node order
+        self.occ_hard = self.occ[table.nodes[:table.n_hard]]  # in-plane nodes
         self.out: list[Move] = []
 
     # -- moves ---------------------------------------------------------------
 
     def _pending(self, src: int, dst: Optional[int], end: np.ndarray) -> _Pending:
         exclude = (src,) if dst is None else (src, dst)
-        close, _ = self.table.straight(self.xy[src], end)
-        ids = self.table.nodes[close].tolist()
-        k = int(np.count_nonzero(close[:self.table.n_hard]))
-        return _Pending(src, dst, end, exclude,
-                        [c for c in ids[:k] if c not in exclude],
-                        [c for c in ids[k:] if c not in exclude])
+        t = self.table
+        near = t.nodes[:t.n_hard][t.straight(self.xy[src], end)].tolist()
+        return _Pending(src, dst, end, exclude, [c for c in near if c not in exclude])
 
     def transfer(self, src: int, dst: int) -> _Pending:
         return self._pending(src, dst, self.xy[dst])
@@ -444,34 +424,26 @@ class _Scheduler:
     # -- routing -------------------------------------------------------------
 
     def _corridor_route(self, a_xy, b_xy, live, free):
-        """Cheapest route a -> (empty trap sites) -> b along corridor edges.
+        """Fewest-hop route a -> (free nodes) -> b along corridor edges.
 
-        Edges blocked by in-plane atoms are unusable; edges crossing near an
-        occupied other-plane atom carry a graded penalty, so the route makes
-        as few and as distant crossings as possible.  The direct a -> b leg
-        competes on the same footing.  Returns None only when the in-plane
-        constraints alone disconnect a from b.  Deterministic (heap ties
-        break on trap index).
+        Every arc weighs 1, or is unusable while an occupied in-plane trap
+        (``live`` for the legs, any for the edges) blocks it.  Free nodes
+        are the empty in-plane sites outside the move and every other-plane
+        junction.  The caller tries the direct a -> b leg first, so it is
+        not an arc.  Returns None when the in-plane atoms disconnect a from
+        b.  Deterministic (heap ties break on trap index).
         """
         t = self.table
-        nh = t.n_hard
-        hard_rows = np.nonzero(live[:nh])[0]
-        soft_rows = nh + np.nonzero(live[nh:])[0]
+        rows = np.nonzero(live)[0]
 
-        def weights(codes):
-            # a leg is unusable when an occupied in-plane trap blocks it;
-            # occupied other-plane traps add their graded penalty
-            usable = ~codes[hard_rows].any(axis=0)
-            penalty = _PENALTY_UNIT * codes[soft_rows].sum(axis=0)
-            return np.where(usable, 1.0 + penalty, math.inf)
+        def weights(blockers):
+            return np.where(blockers[rows].any(axis=0), math.inf, 1.0)
 
-        occ = self.occ_nodes.astype(float)
-        edge_ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ occ[:nh] == 0)
+        edge_ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ self.occ_hard == 0)
         w = np.concatenate([
-            np.where(edge_ok, 1.0 + t.edge_soft @ occ[nh:], math.inf),
+            np.where(edge_ok, 1.0, math.inf),
             np.where(free, weights(t.legs(a_xy, outbound=True)), math.inf),
             weights(t.legs(b_xy, outbound=False)),
-            weights(t.straight(a_xy, b_xy)[1][:, None]),
         ]).tolist()
 
         inf = math.inf
@@ -503,51 +475,38 @@ class _Scheduler:
         return [a_xy] + [t.node_xy[p] for p in reversed(hops)] + [b_xy]
 
     def _route(self, m: _Pending) -> list:
-        """Path of ``m`` honouring the in-plane collision rule and crossing as
-        few (and as distant) other-plane atoms as possible.
+        """Path of ``m`` honouring the in-plane collision rule.
 
-        The first that applies: the straight leg when no occupied trap is
-        near it; the first single-waypoint detour clear of every occupied
-        trap; the corridor search; the detour clear of in-plane atoms that
-        keeps furthest from other-plane ones; the straight leg anyway (a
-        close pass costs crosstalk in the simulator, not a planning failure).
+        The first that applies: the straight leg when no occupied in-plane
+        trap is near it; the first single-waypoint detour clear of every
+        occupied in-plane trap; the corridor search; the straight leg anyway
+        (least-bad: the close pass is accepted).
         """
         t = self.table
         a_xy, b_xy = self.xy[m.src], m.end
-        if not any(self.occ[c] for c in m.near_hard + m.near_soft):
+        if not any(self.occ[c] for c in m.near_hard):
             return [a_xy, b_xy]
-        excluded = np.zeros(self.occ_nodes.size, dtype=bool)
+        excluded = np.zeros(t.n_hard, dtype=bool)
         pos = t.node_of[list(m.exclude)]
-        excluded[pos[pos >= 0]] = True
-        live = self.occ_nodes & ~excluded
+        excluded[pos[(pos >= 0) & (pos < t.n_hard)]] = True
+        live = self.occ_hard & ~excluded
 
-        cands, seg_a, seg_b, rows, blocked = t.detour(a_xy, b_xy)
-        on = live[rows]
-        in_plane = rows < t.n_hard
-        hard_ok = ~blocked[on & in_plane].any(axis=0)
-        clear = hard_ok & ~blocked[on & ~in_plane].any(axis=0)
+        cands, rows, blocked = t.detour(a_xy, b_xy)
+        clear = ~blocked[live[rows]].any(axis=0)
         if clear.any():
             return [a_xy, cands[int(np.argmax(clear))], b_xy]
-        path = self._corridor_route(a_xy, b_xy, live, ~self.occ_nodes & ~excluded)
-        if path is not None:
-            return path
-        if hard_ok.any():
-            # every hard-clear candidate passes a live other-plane atom
-            soft_xy = t.node_xy[t.n_hard:][live[t.n_hard:]]
-            soft_min = kernels.segment_point_distances(soft_xy, seg_a, seg_b).min(axis=0)
-            n = cands.shape[0]
-            path_soft_min = np.minimum(soft_min[:n], soft_min[n:])
-            best = int(np.nonzero(hard_ok)[0][np.argmax(path_soft_min[hard_ok])])
-            return [a_xy, cands[best], b_xy]
-        return [a_xy, b_xy]  # least-bad: accept the close pass
+        free = np.ones(len(t.node_ids), dtype=bool)
+        free[:t.n_hard] = ~self.occ_hard & ~excluded
+        path = self._corridor_route(a_xy, b_xy, live, free)
+        return [a_xy, b_xy] if path is None else path
 
     # -- emission ------------------------------------------------------------
 
     def _set_occ(self, trap: int, value: bool) -> None:
         self.occ[trap] = value
         node = self.table.node_of[trap]
-        if node >= 0:
-            self.occ_nodes[node] = value
+        if 0 <= node < self.table.n_hard:
+            self.occ_hard[node] = value
 
     def _emit(self, m: _Pending) -> None:
         path = tuple(Vec3(float(w[0]), float(w[1]), self.table.mt_z) for w in self._route(m))

@@ -365,26 +365,53 @@ class TestPlanProperties:
 
 
 class TestPlaneTable:
-    def test_leg_grades_like_corridor_edge(self, bilayer_layout):
-        """Legs and corridor edges grade other-plane passes up to the same
-        collision radius, also away from the default 2 um."""
+    def test_leg_blocked_like_corridor_edge(self, bilayer_layout):
+        """The straight leg between a corridor edge's ends has the edge's
+        in-plane blockers, the ends aside, also away from the default 2 um."""
         dec = geo.decompose_planes(bilayer_layout, 1.0)
         plane = dec.planes[0]
         policy = asm.PlannerPolicy(collision_radius_um=3.0)
         table = asm._plane_table(bilayer_layout, plane.indices, plane.z_center, policy)
         nh = table.n_hard
-        graded_beyond_2um = 0
+        assert len(table.node_ids) > nh  # the other plane's junctions take part
+        blocked_beyond_2um = 0
         for e, (i, j) in enumerate(zip(table.edge_i, table.edge_j)):
-            _, codes = table.straight(table.node_xy[i], table.node_xy[j])
-            others = np.ones(len(table.node_ids), dtype=bool)
-            others[[i, j]] = False  # an edge does not grade its own ends
-            leg = codes[nh:][others[nh:]]
-            edge = table.edge_soft[e][others[nh:]] / asm._PENALTY_UNIT
+            ends = [k for k in (i, j) if k < nh]
+            assert not table.edge_hard[e][ends].any()
+            others = np.ones(nh, dtype=bool)
+            others[ends] = False
+            leg = table.straight(table.node_xy[i], table.node_xy[j])[others]
+            edge = table.edge_hard[e][others] > 0
             np.testing.assert_array_equal(leg, edge)
             d = kernels.segment_point_distances(
-                table.node_xy[nh:][others[nh:]], table.node_xy[i][None], table.node_xy[j][None])
-            graded_beyond_2um += int(((edge > 0) & (d[:, 0] >= 2.0)).sum())
-        assert graded_beyond_2um > 0
+                table.node_xy[:nh][others], table.node_xy[i][None], table.node_xy[j][None])
+            blocked_beyond_2um += int((edge & (d[:, 0] >= 2.0)).sum())
+        assert blocked_beyond_2um > 0
+
+
+class TestOtherPlaneJunctions:
+    """Atoms in other planes are charged at pick and drop points only, so
+    they never bend a path; their sites are free corridor junctions."""
+
+    def test_occupied_other_plane_trap_leaves_straight_leg(self):
+        # trap 2 sits 4 um above the midpoint of 0 -> 1, inside z_clearance_um
+        lay = point_layout([(0, 0, 0), (10, 0, 0), (5, 0, 4)])
+        moves = asm.order_moves([(0, 1)], np.array([True, False, True]), lay)
+        assert len(moves[0].path) == 2
+
+    def test_corridor_passes_occupied_junction(self):
+        # 2 blocks the straight leg 0 -> 1 and 3, 4 every single-waypoint
+        # detour; the only clear way round is over trap 5, occupied, 4 um
+        # above the plane
+        lay = point_layout([(-6, 0, 0), (6, 0, 0), (0, 0, 0),
+                            (-3.17, 2.83, 0), (-3.17, -2.83, 0), (-6, 8, 4)])
+        occ = np.array([True, False, True, True, True, True])
+        moves = asm.order_moves([(0, 1)], occ, lay)
+        path = [(p.x, p.y) for p in moves[0].path]
+        assert path == [(-6.0, 0.0), (-6.0, 8.0), (6.0, 0.0)]
+        radius = asm.PlannerPolicy().collision_radius_um
+        for blocker in (2, 3, 4):
+            assert min_clearance(moves[0], lay.positions()[blocker, :2]) >= radius
 
 
 class TestPlanAssembly:
