@@ -234,13 +234,15 @@ def _run_wgs(
     The SLM field is kept as the unit phasor u = exp(1j * phases) of the
     back-propagated trap sum, so an iteration is two products with the
     layout's transfer factors and one normalisation; the phases are taken
-    once, from the best u."""
+    once, from the best u.  The separable illumination gy x gx is folded
+    into the forward factors once per solve, so the forward product takes
+    u itself."""
     n_traps = traps.shape[0]
     xs, ys = slm.pixel_coords()
     gy, gx = slm.input_amplitude()
-    amp = gy[:, None] * gx[None, :]
     norm = _input_norm(slm)
     ux, uy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
+    lit_x, lit_y = gx[:, None] * ux, gy[:, None] * uy
 
     if target_amps is None:
         targets = np.ones(n_traps)
@@ -262,7 +264,7 @@ def _run_wgs(
     iterations = 0
     for _ in range(wgs.max_iters):
         iterations += 1
-        v = kernels.trap_fields(amp * u, ux, uy) / norm
+        v = kernels.trap_fields(u, lit_x, lit_y) / norm
         mag = np.abs(v)
         rel = np.maximum(mag, 1e-300) / targets
         rms = float(np.std(rel**2) / np.mean(rel**2))
