@@ -108,29 +108,18 @@ def corpus():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.fixture(scope="module")
-def corpus_plans(corpus):
-    """name -> per shot, (occupancy, plan of each sorted plane), planned once
-    for both digest tests."""
-    out = {}
-
-    def plans(name):
-        if name not in out:
-            cfg = CONFIGS[name]()
-            n = len(cfg.layout.traps)
-            out[name] = []
-            for hex_occ, *_ in corpus[name]["shots"]:
-                occ = decode_occupancy(hex_occ, n)
-                out[name].append((occ, [
-                    asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
-                    for p in corpus[name]["planes"]
-                ]))
-        return out[name]
-    return plans
+def corpus_plans(corpus, name):
+    """Per recorded shot: its occupancy and the plan of each sorted plane."""
+    cfg = CONFIGS[name]()
+    n = len(cfg.layout.traps)
+    for hex_occ, *_ in corpus[name]["shots"]:
+        occ = decode_occupancy(hex_occ, n)
+        yield occ, [asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
+                    for p in corpus[name]["planes"]]
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_plans_match_recorded_digests(corpus, corpus_plans, name):
+def test_plans_match_recorded_digests(corpus, name):
     cfg = CONFIGS[name]()
     entry = corpus[name]
     planes = sorted_planes(cfg)
@@ -140,7 +129,8 @@ def test_plans_match_recorded_digests(corpus, corpus_plans, name):
     targets = np.array([t.is_target for t in cfg.layout.traps])
     plane_of = cfg.decomposition.plane_of(n)
     mismatches = []
-    for shot, ((occ, plans), (_, *digests)) in enumerate(zip(corpus_plans(name), entry["shots"])):
+    for shot, ((occ, plans), (_, *digests)) in enumerate(
+            zip(corpus_plans(corpus, name), entry["shots"])):
         for p, plan, want in zip(planes, plans, digests):
             if plan_digest(plan) != want:
                 mismatches.append((shot, p))
@@ -150,13 +140,14 @@ def test_plans_match_recorded_digests(corpus, corpus_plans, name):
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_plan_skeletons_match_recorded_digests(corpus, corpus_plans, name):
+def test_plan_skeletons_match_recorded_digests(corpus, name):
     """Every move keeps its kind, traps, exit, end points and order."""
     entry = corpus[name]
     assert len(entry["skeletons"]) == SHOTS_PER_CONFIG
     mismatches = [
         (shot, p)
-        for shot, ((_, plans), digests) in enumerate(zip(corpus_plans(name), entry["skeletons"]))
+        for shot, ((_, plans), digests) in enumerate(
+            zip(corpus_plans(corpus, name), entry["skeletons"]))
         for p, plan, want in zip(entry["planes"], plans, digests)
         if skeleton_digest(plan) != want
     ]
