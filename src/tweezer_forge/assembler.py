@@ -8,8 +8,6 @@ of scope).
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -172,7 +170,9 @@ class _PlaneTable:
     sit in the middle of lattice corridors, so hopping across empty sites
     follows the corridors exactly; other-plane sites are junctions that are
     always free, whatever their occupancy.  An edge is unusable while an
-    in-plane trap it passes (other than its ends) is occupied.
+    in-plane trap it passes (other than its ends) is occupied.  The
+    breadth-first corridor search visits each level's nodes in trap order
+    (``by_trap``), so its ties break on trap index.
     """
 
     def __init__(self, layout: TrapLayout, hard_key: tuple, mt_z: float,
@@ -197,27 +197,12 @@ class _PlaneTable:
         pts = self.node_xy
         d2 = np.einsum("ijk,ijk->ij", pts[:, None] - pts[None, :], pts[:, None] - pts[None, :])
         self.edge_i, self.edge_j = np.nonzero(np.triu(d2 <= _GRAPH_REACH_UM**2, k=1))
-        n_edges = self.edge_i.size
         close = self._blockers(pts[self.edge_i], pts[self.edge_j])
         for ends in (self.edge_i, self.edge_j):  # an edge's own ends
             own = ends < self.n_hard
             close[ends[own], np.nonzero(own)[0]] = False
         self.edge_hard = close.T.astype(float)  # edge x in-plane trap
-        # search graph of a route: the nodes, then its start and its end.
-        # Arcs are (head, weight slot); the slots are the edges, then the
-        # legs start -> node and node -> end, weighted per route.  Each node
-        # lists its end leg first, then its incident edges in edge order.
-        n_nodes = len(self.node_ids)
-        self.start, self.end = n_nodes, n_nodes + 1
-        self.heap_key = self.node_ids + [-1, -2]  # heap ties break on trap index
-        self.arcs: list[list[tuple[int, int]]] = [
-            [(self.end, n_edges + n_nodes + p)] for p in range(n_nodes)
-        ]
-        for e, (i, j) in enumerate(zip(self.edge_i.tolist(), self.edge_j.tolist())):
-            self.arcs[i].append((j, e))
-            self.arcs[j].append((i, e))
-        self.arcs.append([(p, n_edges + p) for p in range(n_nodes)])
-        self.arcs.append([])
+        self.by_trap = np.argsort(self.nodes)  # node positions in trap order
         self._legs: dict = {}
         self._straights: dict = {}
         self._detours: dict = {}
@@ -426,53 +411,38 @@ class _Scheduler:
     def _corridor_route(self, a_xy, b_xy, live, free):
         """Fewest-hop route a -> (free nodes) -> b along corridor edges.
 
-        Every arc weighs 1, or is unusable while an occupied in-plane trap
-        (``live`` for the legs, any for the edges) blocks it.  Free nodes
-        are the empty in-plane sites outside the move and every other-plane
-        junction.  The caller tries the direct a -> b leg first, so it is
-        not an arc.  Returns None when the in-plane atoms disconnect a from
-        b.  Deterministic (heap ties break on trap index).
+        A leg or edge is usable unless an occupied in-plane trap (``live``
+        for the legs, any for the edges) blocks it.  Free nodes are the
+        empty in-plane sites outside the move and every other-plane
+        junction.  The caller tries the direct a -> b leg first, so the
+        route has at least one node.  The search is breadth-first, one
+        level of nodes at a time in trap order: the first node of a level
+        with a usable leg to b is the last hop, and a node's predecessor
+        is the first node of the previous level that reaches it.  Returns
+        None when the in-plane atoms disconnect a from b.
         """
         t = self.table
-        rows = np.nonzero(live)[0]
-
-        def weights(blockers):
-            return np.where(blockers[rows].any(axis=0), math.inf, 1.0)
-
-        edge_ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ self.occ_hard == 0)
-        w = np.concatenate([
-            np.where(edge_ok, 1.0, math.inf),
-            np.where(free, weights(t.legs(a_xy, outbound=True)), math.inf),
-            weights(t.legs(b_xy, outbound=False)),
-        ]).tolist()
-
-        inf = math.inf
-        dist = [inf] * len(t.arcs)
-        prev = [-1] * len(t.arcs)
-        settled = [False] * len(t.arcs)
-        dist[t.start] = 0.0
-        heap = [(0.0, -1, t.start)]  # (distance, trap index, node)
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if settled[u]:
-                continue
-            settled[u] = True
-            if u == t.end:
-                break
-            for v, slot in t.arcs[u]:
-                nd = d + w[slot]
-                if nd < dist[v] - 1e-9:
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, t.heap_key[v], v))
-        if not settled[t.end]:
-            return None
-        hops = []
-        v = prev[t.end]
-        while v != t.start:
-            hops.append(v)
-            v = prev[v]
-        return [a_xy] + [t.node_xy[p] for p in reversed(hops)] + [b_xy]
+        seen = free & ~t.legs(a_xy, outbound=True)[live].any(axis=0)
+        to_b = ~t.legs(b_xy, outbound=False)[live].any(axis=0)
+        ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ self.occ_hard == 0)
+        adj = np.zeros((free.size, free.size), dtype=bool)
+        adj[t.edge_i[ok], t.edge_j[ok]] = True
+        adj |= adj.T
+        prev = np.full(free.size, -1)
+        level = t.by_trap[seen[t.by_trap]]
+        while level.size:
+            last = level[to_b[level]]
+            if last.size:
+                hops = [int(last[0])]
+                while prev[hops[-1]] >= 0:
+                    hops.append(int(prev[hops[-1]]))
+                return [a_xy] + [t.node_xy[p] for p in reversed(hops)] + [b_xy]
+            reach = adj[level] & ~seen
+            new = reach.any(axis=0)
+            prev[new] = level[reach[:, new].argmax(axis=0)]
+            seen |= new
+            level = t.by_trap[new[t.by_trap]]
+        return None
 
     def _route(self, m: _Pending) -> list:
         """Path of ``m`` honouring the in-plane collision rule.

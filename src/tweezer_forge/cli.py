@@ -110,11 +110,10 @@ def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConf
     except geometry.LayoutError as exc:
         raise CliError(f"invalid layout: {exc}") from exc
 
-    def section(name, builder, **renames):
+    def section(name, builder):
         sub = doc.get(name, {})
         _check_keys(sub, _CONFIG_SECTIONS[name], f"config.{name}")
-        kwargs = {renames.get(k, k): v for k, v in sub.items()}
-        return builder(**kwargs)
+        return builder(**sub)
 
     loss_doc = dict(doc.get("loss", {}))
     _check_keys(loss_doc, _CONFIG_SECTIONS["loss"], "config.loss")
