@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from tweezer_forge import assembler as asm
 from tweezer_forge import configs
@@ -387,6 +388,55 @@ class TestPlaneTable:
                 table.node_xy[:nh][others], table.node_xy[i][None], table.node_xy[j][None])
             blocked_beyond_2um += int((edge & (d[:, 0] >= 2.0)).sum())
         assert blocked_beyond_2um > 0
+
+
+class TestCorridorSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["bilayer72", "one_plane"]),
+           seed=st.integers(0, 2**32 - 1), p_load=st.floats(0.3, 0.8))
+    def test_fewest_hops(self, name, seed, p_load):
+        """The corridor route has as few hops as a shortest-path search on
+        the usable legs and edges finds, each of its hops is usable, and it
+        is None exactly when no such path exists."""
+        cfg = cached_config(name)
+        plane = cfg.decomposition.planes[0]
+        t = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
+        n, nh = len(t.node_ids), t.n_hard
+        at = {tuple(xy): p for p, xy in enumerate(t.node_xy)}
+        rng = np.random.default_rng(seed)
+        sched = asm._Scheduler(t, rng.random(len(cfg.layout.traps)) < p_load)
+        loaded = [i for i in plane.indices if sched.occ[i]]
+        empty = [i for i in plane.indices if not sched.occ[i]]
+        for _ in range(10):
+            src = int(rng.choice(loaded))
+            if empty and rng.random() < 0.7:
+                move = sched.transfer(src, int(rng.choice(empty)))
+            else:
+                move = sched.eject(src)
+            # live and free as _route builds them
+            excluded = np.zeros(nh, dtype=bool)
+            excluded[t.node_of[list(move.exclude)]] = True
+            live = sched.occ_hard & ~excluded
+            free = np.ones(n, dtype=bool)
+            free[:nh] = ~sched.occ_hard & ~excluded
+            a_xy, b_xy = t.xy[move.src], move.end
+            from_a = free & ~t.legs(a_xy, outbound=True)[live].any(axis=0)
+            to_b = ~t.legs(b_xy, outbound=False)[live].any(axis=0)
+            edge_ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ sched.occ_hard == 0)
+            usable = np.zeros((n + 2, n + 2))  # the nodes, then a, then b
+            usable[t.edge_i[edge_ok], t.edge_j[edge_ok]] = 1
+            usable[t.edge_j[edge_ok], t.edge_i[edge_ok]] = 1
+            usable[n, :n] = from_a
+            usable[:n, n + 1] = to_b
+            hops = shortest_path(usable, unweighted=True, indices=n)[n + 1]
+
+            path = sched._corridor_route(a_xy, b_xy, live, free)
+            if np.isinf(hops):
+                assert path is None
+                continue
+            assert path is not None and len(path) - 1 == hops
+            ids = [n] + [at[tuple(xy)] for xy in path[1:-1]] + [n + 1]
+            assert all(usable[u, v] for u, v in zip(ids, ids[1:]))
 
 
 class TestOtherPlaneJunctions:
