@@ -55,10 +55,8 @@ from .assembler import (
     PlannerPolicy,
     apply_plan_lossless,
     assignment_min_cost,
-    order_moves,
     plan_assembly,
     plan_plane,
-    plan_remove_all,
 )
 from .simulator import (
     CameraModel,
@@ -68,7 +66,6 @@ from .simulator import (
     Statistics,
     TimingModel,
     analytic_fill_estimate,
-    average_frames,
     detect_occupancy,
     make_config,
     run_experiment,

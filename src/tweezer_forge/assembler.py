@@ -19,7 +19,7 @@ from .geometry import PlaneDecomposition, TrapLayout, Vec3
 
 
 class PlanInfeasibleError(RuntimeError):
-    """No executable move ordering exists (e.g. no free staging site)."""
+    """A plane holds fewer atoms than it has targets."""
 
 
 class ExecutabilityError(RuntimeError):
@@ -158,13 +158,12 @@ class _PlaneTable:
 
     Nodes are the in-plane ("hard") trap sites followed by the other-plane
     junction sites within the axial clearance; a node's position in that
-    order indexes every table below.  The in-plane nodes are also the
-    staging sites of swap cycles and the only possible blockers: the
-    simulator charges other-plane atoms at a move's pick and drop points,
-    never along its path.  Every segment the scheduler tests joins fixed
-    points (trap sites, eject exits and the detour waypoints of a pair), so
-    which in-plane traps can block it is computed once here; a planning call
-    only applies the occupancy.
+    order indexes every table below.  The in-plane nodes are the only
+    possible blockers: the simulator charges other-plane atoms at a move's
+    pick and drop points, never along its path.  Every segment the
+    scheduler tests joins fixed points (trap sites, eject exits and the
+    detour waypoints of a pair), so which in-plane traps can block it is
+    computed once here; a planning call only applies the occupancy.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
     sit in the middle of lattice corridors, so hopping across empty sites
@@ -368,18 +367,15 @@ class _Pending(NamedTuple):
 
 
 class _Scheduler:
-    """Orders moves so replay never lifts from an empty trap, never drops onto
-    an occupied one, and keeps the MT clear of occupied bystander traps in
-    the plane being sorted.
+    """Orders a plane's moves and keeps the MT clear of occupied bystander
+    traps in the plane being sorted.
 
     In-plane occupied traps are collision constraints: a blocked move is
     deferred when the blocker will be vacated by a pending move, otherwise the
     path is routed around it (single waypoint, then a corridor search through
     empty trap sites and other-plane junctions).  Atoms in other planes are
     no obstacle: the simulator charges them at a move's pick and drop
-    points, which the matching fixes, and never along its path.  Occupied
-    destinations (swap cycles) are broken by staging through the nearest
-    free in-plane non-target site.
+    points, which the matching fixes, and never along its path.
     """
 
     def __init__(self, table: _PlaneTable, occupancy: np.ndarray):
@@ -402,9 +398,6 @@ class _Scheduler:
 
     def eject(self, src: int) -> _Pending:
         return self._pending(src, None, self.table.exits[self.table.node_of[src]])
-
-    def _executable(self, m: _Pending) -> bool:
-        return bool(self.occ[m.src]) and (m.dst is None or not self.occ[m.dst])
 
     # -- routing -------------------------------------------------------------
 
@@ -492,82 +485,16 @@ class _Scheduler:
     # -- main loop -----------------------------------------------------------
 
     def schedule(self, moves: Sequence[_Pending]) -> None:
-        """Emit ``moves`` in an executable order.  Each pass emits the first
-        executable move that no pending source blocks; otherwise the first
-        executable move (deferrals deadlocked); otherwise it stages the first
-        swap cycle through a free site."""
+        """Emit ``moves``: each pass the first whose straight leg passes no
+        pending move's source, or the first if every one is blocked so."""
+        # every pending source is loaded and every destination is an empty
+        # target (plan_plane's matching), so each move is executable as it
+        # stands and a pending source is an occupied trap
         pending = list(moves)
-        srcs = {m.src for m in pending}
-        for m in pending:
-            if m.dst is not None and self.occ[m.dst] and m.dst not in srcs:
-                raise PlanInfeasibleError(
-                    f"destination trap {m.dst} is occupied and never vacated"
-                )
         while pending:
             srcs = {m.src for m in pending}
-            pick = None
-            for i, m in enumerate(pending):
-                if not self._executable(m):
-                    continue
-                if pick is None:
-                    pick = i
-                if not any(b in srcs and self.occ[b] for b in m.near_hard):
-                    pick = i
-                    break
-            if pick is not None:
-                self._emit(pending.pop(pick))
-                continue
-            # every loaded source drops onto an occupied site: a swap cycle
-            i = next((i for i, m in enumerate(pending) if self.occ[m.src]), None)
-            if i is None:
-                raise PlanInfeasibleError("no executable move ordering exists")
-            src, dst = pending[i].src, pending[i].dst
-            stage = self._staging_site(src, {m.dst for m in pending})
-            if stage is None:
-                raise PlanInfeasibleError("no free staging site available")
-            self._emit(self.transfer(src, stage))
-            pending[i] = self.transfer(stage, dst)
-
-    def _staging_site(self, src: int, reserved: set) -> Optional[int]:
-        """Nearest free in-plane non-target site that no pending move
-        drops onto."""
-        t = self.table
-        sites = t.nodes[:t.n_hard]
-        ok = ~self.occ[sites] & ~t.is_target[sites] & ~np.isin(sites, list(reserved))
-        if not ok.any():
-            return None
-        d = np.hypot(*(self.xy[sites[ok]] - self.xy[src]).T)
-        return int(sites[ok][np.argmin(d)])
-
-
-def order_moves(
-    matching: Sequence[tuple[int, int]],
-    occupancy,
-    layout: TrapLayout,
-    policy: PlannerPolicy = PlannerPolicy(),
-) -> tuple[Move, ...]:
-    """Order (source trap, destination trap) transfers into an executable,
-    collision-aware sequence.
-
-    The plane being sorted is the traps within 1 um of the mean z of the
-    traps involved: they are the collision obstacles and the staging sites.
-    """
-    occ = as_occupancy(occupancy, len(layout.traps))
-    for src, dst in matching:
-        if src == dst:
-            raise ValueError("transfers need distinct source and destination")
-        if not occ[src]:
-            raise ValueError(f"source trap {src} is empty")
-    for ends in zip(*matching):
-        if len(set(ends)) < len(ends):
-            raise ValueError("a trap may be the source of one transfer and the destination of one")
-    involved = {i for pair in matching for i in pair}
-    mt_z = float(np.mean([layout.traps[i].position.z for i in involved])) if involved else 0.0
-    z = layout.positions()[:, 2]
-    hard = tuple(int(i) for i in np.nonzero(np.abs(z - mt_z) <= 1.0)[0])
-    sched = _Scheduler(_plane_table(layout, hard, mt_z, policy), occ)
-    sched.schedule([sched.transfer(src, dst) for src, dst in matching])
-    return tuple(sched.out)
+            i = next((i for i, m in enumerate(pending) if srcs.isdisjoint(m.near_hard)), 0)
+            self._emit(pending.pop(i))
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +539,6 @@ def plan_plane(
     sched = _Scheduler(table, occ)
     sched.schedule([sched.transfer(src, dst) for src, dst in pairs])
     sched.schedule([sched.eject(src) for src in surplus])
-    return MovePlan(plane_index=plane_index, mt_z_um=plane.z_center, moves=tuple(sched.out))
-
-
-def plan_remove_all(
-    occupancy,
-    layout: TrapLayout,
-    decomposition: PlaneDecomposition,
-    plane_index: int,
-    policy: PlannerPolicy = PlannerPolicy(),
-) -> MovePlan:
-    """One ejection per loaded trap in the plane."""
-    occ = as_occupancy(occupancy, len(layout.traps))
-    plane = decomposition.planes[plane_index]
-    sched = _Scheduler(_plane_table(layout, plane.indices, plane.z_center, policy), occ)
-    sched.schedule([sched.eject(i) for i in plane.indices if occ[i]])
     return MovePlan(plane_index=plane_index, mt_z_um=plane.z_center, moves=tuple(sched.out))
 
 

@@ -527,21 +527,3 @@ def detect_occupancy(
     resid = np.stack([img.pixels for img in stack]) - camera.background_counts
     rhs = np.einsum("knw,knw->n", rows @ resid, cols)
     return gram_inv @ rhs > frac
-
-
-def average_frames(stacks: Sequence[Sequence[Image2D]]) -> list[Image2D]:
-    """Pixelwise mean over repeated stacks (frame averaging)."""
-    if len(stacks) == 0:
-        raise ValueError("need at least one stack")
-    n_slices = len(stacks[0])
-    shape = stacks[0][0].pixels.shape
-    for st in stacks:
-        if len(st) != n_slices or any(img.pixels.shape != shape for img in st):
-            raise ValueError("stacks must share dimensions")
-    out = []
-    for s in range(n_slices):
-        acc = np.zeros(shape)
-        for st in stacks:
-            acc += st[s].pixels
-        out.append(Image2D(acc / len(stacks)))
-    return out

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 import json
@@ -37,26 +36,15 @@ def pairs_of(moves):
     return [(m.from_index, m.to_index) for m in moves]
 
 
+def plane_moves(occ, layout, policy=asm.PlannerPolicy()):
+    """The moves of ``plan_plane`` on the lowest plane of ``layout``."""
+    dec = geo.decompose_planes(layout, 1.0)
+    return asm.plan_plane(occ, layout, dec, 0, policy).moves
+
+
 def min_clearance(move, xy):
     pts = np.array([[p.x, p.y] for p in move.path])
     return kernels.segment_point_distances(xy[None, :], pts[:-1], pts[1:]).min()
-
-
-@contextlib.contextmanager
-def emit_cap(limit):
-    """Fail, instead of hanging, once a schedule emits more than ``limit``
-    moves."""
-    emit = asm._Scheduler._emit
-    count = itertools.count(1)
-
-    def capped(self, move):
-        if next(count) > limit:
-            raise AssertionError(f"more than {limit} moves emitted")
-        emit(self, move)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(asm._Scheduler, "_emit", capped)
-        yield
 
 
 def brute_force_min_cost(cost):
@@ -106,144 +94,50 @@ class TestAssignment:
         assert got == pytest.approx(brute_force_min_cost(cost), rel=1e-12)
 
 
-class TestOrderMoves:
-    def test_chain_dependency(self):
-        lay = line_layout(3)
-        occ = np.array([True, True, False])
-        moves = asm.order_moves([(0, 1), (1, 2)], occ, lay)
-        assert [(m.from_index, m.to_index) for m in moves] == [(1, 2), (0, 1)]
-        asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
-
-    def test_swap_uses_staging(self):
-        pts = [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (0.0, 5.0, 0.0)]
-        lay = geo.TrapLayout(
-            tuple(geo.TrapSite(geo.Vec3(*p), is_target=(i < 2)) for i, p in enumerate(pts))
-        )
-        occ = np.array([True, True, False])
-        moves = asm.order_moves([(0, 1), (1, 0)], occ, lay)
-        assert len(moves) == 3
-        assert {m.from_index for m in moves} == {0, 1, 2}
-        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
-        assert out[0] and out[1] and not out[2]
-
+class TestSchedule:
     def test_disjoint_moves_keep_matching_order(self):
-        lay = line_layout(8, pitch=6.0)
+        lay = line_layout(8, pitch=6.0, targets=[False, True] * 3 + [False, False])
         occ = np.array([True, False, True, False, True, False, False, False])
-        matching = [(0, 1), (2, 3), (4, 5)]
-        moves = asm.order_moves(matching, occ, lay)
-        assert [(m.from_index, m.to_index) for m in moves] == matching
-
-    def test_no_staging_site_raises(self):
-        pts = [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
-        lay = geo.TrapLayout(
-            tuple(geo.TrapSite(geo.Vec3(*p), is_target=True) for p in pts)
-        )
-        occ = np.array([True, True])
-        with pytest.raises(asm.PlanInfeasibleError, match="staging"):
-            asm.order_moves([(0, 1), (1, 0)], occ, lay)
-
-    def test_empty_source_rejected(self):
-        lay = line_layout(2)
-        with pytest.raises(ValueError):
-            asm.order_moves([(0, 1)], np.array([False, False]), lay)
+        moves = plane_moves(occ, lay)
+        assert pairs_of(moves) == [(0, 1), (2, 3), (4, 5)]
 
     def test_blocked_path_defers_until_vacated(self):
-        # 1 sits on the straight path 0 -> 2; 1 moves away first
-        lay = line_layout(4)
+        # 1 sits on the straight path 0 -> 2; 1 moves away first.  On a line
+        # the crossing matching 0 -> 3, 1 -> 2 is as long, so the squared
+        # cost picks 0 -> 2, 1 -> 3
+        lay = line_layout(4, targets=[False, False, True, True])
         occ = np.array([True, True, False, False])
-        moves = asm.order_moves([(0, 2), (1, 3)], occ, lay)
-        order = [(m.from_index, m.to_index) for m in moves]
+        moves = plane_moves(occ, lay, asm.PlannerPolicy(cost_metric="squared_euclidean"))
+        order = pairs_of(moves)
+        assert sorted(order) == [(0, 2), (1, 3)]
         assert order.index((1, 3)) < order.index((0, 2))
         # after 1 vacates, 0 -> 2 may run straight through
         assert len(moves[order.index((0, 2))].path) == 2
 
     def test_permanent_blocker_routed_around(self):
-        # 1 never moves, so 0 -> 2 must bend around it
-        lay = line_layout(3)
+        # 1 is a filled target and never moves, so 0 -> 2 must bend around it
+        lay = line_layout(3, targets=[False, True, True])
         occ = np.array([True, True, False])
-        moves = asm.order_moves([(0, 2)], occ, lay)
-        assert len(moves) == 1
+        moves = plane_moves(occ, lay)
+        assert pairs_of(moves) == [(0, 2)]
         path = moves[0].path
         assert len(path) >= 3
-        pts = np.array([[p.x, p.y] for p in path])
-        blocker = lay.positions()[1, :2]
-        from tweezer_forge import kernels
-
-        d = kernels.segment_point_distances(
-            blocker[None, :], pts[:-1], pts[1:]
-        ).min()
-        assert d >= asm.PlannerPolicy().collision_radius_um - 1e-9
-
-    def test_swap_cycle_behind_staged_atom_terminates(self):
-        # staging 0 into 1 puts an atom on the path 3 -> 0, and 1 is itself
-        # a pending source: the move 3 -> 0 is forced around it rather than
-        # restaging 1 back and forth
-        lay = line_layout(4, targets=[True, False, False, False])
-        occ = np.array([True, False, False, True])
-        with emit_cap(50):
-            moves = asm.order_moves([(0, 3), (3, 0)], occ, lay)
-        assert pairs_of(moves) == [(0, 1), (3, 0), (1, 3)]
-        assert len(moves[1].path) == 3
         radius = asm.PlannerPolicy().collision_radius_um
-        assert min_clearance(moves[1], lay.positions()[1, :2]) >= radius - 1e-9
-        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
-        assert out[0] and out[3] and not out[1] and not out[2]
+        assert min_clearance(moves[0], lay.positions()[1, :2]) >= radius - 1e-9
 
-    def test_staging_stays_in_plane(self):
-        # trap 3 is the nearest free non-target site, but 5 um above the plane
-        lay = point_layout([(0, 0, 0), (5, 0, 0), (0, 8, 0), (0, 3, 5)], targets=(0, 1))
-        occ = np.array([True, True, False, False])
-        moves = asm.order_moves([(0, 1), (1, 0)], occ, lay)
-        assert pairs_of(moves) == [(0, 2), (1, 0), (2, 1)]
-        assert all(m.path[0].z == 0.0 for m in moves)
-
-    def test_deferral_deadlock_forces_first_move(self):
-        # each move's straight path passes the other's source
+    def test_deferral_deadlock_emits_first_move(self):
+        # each move's straight path passes the other's source; the matching
+        # never pairs them so, hence the scheduler is driven directly
         lay = point_layout([(-5, 0, 0), (0, 0, 0), (5, 0, 0), (15, 0, 0)])
-        occ = np.array([False, True, True, False])
-        moves = asm.order_moves([(1, 3), (2, 0)], occ, lay)
+        plane = geo.decompose_planes(lay, 1.0).planes[0]
+        table = asm._plane_table(lay, plane.indices, plane.z_center, asm.PlannerPolicy())
+        sched = asm._Scheduler(table, np.array([False, True, True, False]))
+        sched.schedule([sched.transfer(1, 3), sched.transfer(2, 0)])
+        moves = sched.out
         assert pairs_of(moves) == [(1, 3), (2, 0)]
         assert len(moves[0].path) == 3 and len(moves[1].path) == 2
         radius = asm.PlannerPolicy().collision_radius_um
         assert min_clearance(moves[0], lay.positions()[2, :2]) >= radius - 1e-9
-
-    @pytest.mark.parametrize("matching", [[(0, 2), (1, 2)], [(0, 1), (0, 2)]])
-    def test_repeated_trap_rejected(self, matching):
-        lay = line_layout(4)
-        with emit_cap(50), pytest.raises(ValueError, match="one transfer"):
-            asm.order_moves(matching, np.array([True, True, False, False]), lay)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        nx=st.integers(2, 5),
-        ny=st.integers(1, 4),
-        pitch=st.sampled_from([3.0, 4.0, 5.0]),
-    )
-    def test_random_matchings_with_cycles(self, seed, nx, ny, pitch):
-        """Sources loaded and distinct, destinations distinct and either
-        empty or another source, so matchings hold chains and cycles."""
-        rng = np.random.default_rng(seed)
-        n = nx * ny
-        pts = [(i * pitch, j * pitch, 0.0) for j in range(ny) for i in range(nx)]
-        lay = point_layout(pts, targets=set(np.nonzero(rng.random(n) < 0.4)[0].tolist()))
-        occ = rng.random(n) < 0.5
-        occ[rng.integers(n)] = True
-        loaded = np.nonzero(occ)[0]
-        srcs = rng.choice(loaded, size=rng.integers(1, loaded.size + 1), replace=False)
-        pool = np.concatenate([np.nonzero(~occ)[0], srcs])
-        dsts = rng.choice(pool, size=srcs.size, replace=False)
-        matching = [(int(s), int(d)) for s, d in zip(srcs, dsts) if s != d]
-        try:
-            with emit_cap(2 * len(matching)):  # at most two moves per pair
-                moves = asm.order_moves(matching, occ, lay)
-        except asm.PlanInfeasibleError:
-            return
-        want = occ.copy()
-        want[[s for s, _ in matching]] = False
-        want[[d for _, d in matching]] = True
-        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
-        np.testing.assert_array_equal(out, want)
 
 
 class TestPlanPlane:
@@ -331,16 +225,35 @@ def cached_config(name):
     return CONFIG_MAKERS[name]()
 
 
+def check_plan_plane(occ, lay, dec, p, policy):
+    """The plan of plane ``p`` replays, fills exactly the plane's targets,
+    leaves the other planes alone, stays in the plane, runs every transfer
+    before every ejection and is reproducible."""
+    plane = dec.planes[p]
+    plane_of = dec.plane_of(len(lay.traps))
+    targets = np.array([t.is_target for t in lay.traps])
+    plan = asm.plan_plane(occ, lay, dec, p, policy)
+    out = asm.apply_plan_lossless(occ, plan)
+    mine = plane_of == p
+    np.testing.assert_array_equal(out[mine], targets[mine])
+    np.testing.assert_array_equal(out[~mine], occ[~mine])
+    for m in plan.moves:
+        assert plane_of[m.from_index] == p
+        assert m.to_index is None or plane_of[m.to_index] == p
+        assert all(pt.z == plane.z_center for pt in m.path)
+    kinds = [m.kind for m in plan.moves]
+    assert kinds == sorted(kinds, key=["transfer", "eject"].index)
+    assert asm.plan_plane(occ, lay, dec, p, policy) == plan
+
+
 class TestPlanProperties:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CONFIG_MAKERS)), seed=st.integers(0, 2**32 - 1))
     def test_plan_plane_invariants(self, name, seed):
-        """On a trigger-satisfying occupancy every sorted plane's plan
-        replays, fills exactly the plane's targets, stays in the plane and
-        is reproducible."""
+        """``check_plan_plane`` on every sorted plane of a config, for a
+        trigger-satisfying occupancy."""
         cfg = cached_config(name)
         lay, dec = cfg.layout, cfg.decomposition
-        plane_of = dec.plane_of(len(lay.traps))
         targets = np.array([t.is_target for t in lay.traps])
         rng = np.random.default_rng(seed)
         for _ in range(1000):
@@ -351,18 +264,32 @@ class TestPlanProperties:
         else:
             pytest.fail("no trigger-satisfying draw")
         for p, plane in enumerate(dec.planes):
-            if not targets[list(plane.indices)].any():
-                continue
-            plan = asm.plan_plane(occ, lay, dec, p, cfg.planner)
-            out = asm.apply_plan_lossless(occ, plan)
-            mine = plane_of == p
-            np.testing.assert_array_equal(out[mine], targets[mine])
-            np.testing.assert_array_equal(out[~mine], occ[~mine])
-            for m in plan.moves:
-                assert plane_of[m.from_index] == p
-                assert m.to_index is None or plane_of[m.to_index] == p
-                assert all(pt.z == plane.z_center for pt in m.path)
-            assert asm.plan_plane(occ, lay, dec, p, cfg.planner) == plan
+            if targets[list(plane.indices)].any():
+                check_plan_plane(occ, lay, dec, p, cfg.planner)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["grid", "line"]), seed=st.integers(0, 2**32 - 1),
+           pitch=st.floats(2.5, 6.0),
+           metric=st.sampled_from(["euclidean", "squared_euclidean"]))
+    def test_plan_plane_invariants_random_layouts(self, kind, seed, pitch, metric):
+        """``check_plan_plane`` on a jittered grid or line with random
+        targets and enough atoms: unlike the configs, such layouts defer
+        moves, and sometimes every pending move is blocked."""
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            nx, ny = rng.integers(2, 8, size=2)
+            xy = np.array([(i, j) for j in range(ny) for i in range(nx)]) * pitch
+        else:
+            xy = np.array([(i, 0) for i in range(rng.integers(4, 17))]) * pitch
+        xy = xy + rng.normal(0.0, 0.15 * pitch, xy.shape)
+        xy -= xy.mean(axis=0)
+        n = len(xy)
+        targets = np.nonzero(rng.random(n) < rng.uniform(0.2, 0.6))[0]
+        lay = point_layout([(x, y, 0.0) for x, y in xy], targets=set(targets.tolist()))
+        occ = np.zeros(n, dtype=bool)
+        occ[rng.choice(n, size=rng.integers(targets.size, n + 1), replace=False)] = True
+        check_plan_plane(occ, lay, geo.decompose_planes(lay, 1.0), 0,
+                         asm.PlannerPolicy(cost_metric=metric))
 
 
 class TestPlaneTable:
@@ -445,18 +372,21 @@ class TestOtherPlaneJunctions:
 
     def test_occupied_other_plane_trap_leaves_straight_leg(self):
         # trap 2 sits 4 um above the midpoint of 0 -> 1, inside z_clearance_um
-        lay = point_layout([(0, 0, 0), (10, 0, 0), (5, 0, 4)])
-        moves = asm.order_moves([(0, 1)], np.array([True, False, True]), lay)
+        lay = point_layout([(0, 0, 0), (10, 0, 0), (5, 0, 4)], targets=(1,))
+        moves = plane_moves(np.array([True, False, True]), lay)
+        assert pairs_of(moves) == [(0, 1)]
         assert len(moves[0].path) == 2
 
     def test_corridor_passes_occupied_junction(self):
         # 2 blocks the straight leg 0 -> 1 and 3, 4 every single-waypoint
-        # detour; the only clear way round is over trap 5, occupied, 4 um
-        # above the plane
+        # detour (all three are filled targets); the only clear way round is
+        # over trap 5, occupied, 4 um above the plane
         lay = point_layout([(-6, 0, 0), (6, 0, 0), (0, 0, 0),
-                            (-3.17, 2.83, 0), (-3.17, -2.83, 0), (-6, 8, 4)])
+                            (-3.17, 2.83, 0), (-3.17, -2.83, 0), (-6, 8, 4)],
+                           targets=(1, 2, 3, 4))
         occ = np.array([True, False, True, True, True, True])
-        moves = asm.order_moves([(0, 1)], occ, lay)
+        moves = plane_moves(occ, lay)
+        assert pairs_of(moves) == [(0, 1)]
         path = [(p.x, p.y) for p in moves[0].path]
         assert path == [(-6.0, 0.0), (-6.0, 8.0), (6.0, 0.0)]
         radius = asm.PlannerPolicy().collision_radius_um
@@ -514,23 +444,6 @@ class TestPlanAssembly:
         assert plan.total_path_um > 0
 
 
-class TestRemoveAll:
-    def test_empty_plane(self, grid_layout_46):
-        dec = geo.decompose_planes(grid_layout_46, 1.0)
-        plan = asm.plan_remove_all(np.zeros(46, dtype=bool), grid_layout_46, dec, 0)
-        assert plan.moves == ()
-
-    def test_23_of_46(self, grid_layout_46):
-        dec = geo.decompose_planes(grid_layout_46, 1.0)
-        occ = np.zeros(46, dtype=bool)
-        occ[np.random.default_rng(1).choice(46, size=23, replace=False)] = True
-        plan = asm.plan_remove_all(occ, grid_layout_46, dec, 0)
-        assert len(plan.moves) == 23
-        assert all(m.kind == "eject" for m in plan.moves)
-        out = asm.apply_plan_lossless(occ, plan)
-        assert not out.any()
-
-
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         occ = np.array([True, False, True])
@@ -538,9 +451,10 @@ class TestApplyPlan:
         np.testing.assert_array_equal(out, occ)
 
     def test_single_transfer(self):
-        lay = line_layout(2)
+        lay = line_layout(2, targets=[False, True])
         occ = np.array([True, False])
-        moves = asm.order_moves([(0, 1)], occ, lay)
+        moves = plane_moves(occ, lay)
+        assert pairs_of(moves) == [(0, 1)]
         out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
         assert not out[0] and out[1]
 

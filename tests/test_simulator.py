@@ -423,53 +423,3 @@ class TestDensePlaneDetection:
             misread += int((got != occ).sum())
             reads += occ.size
         assert misread <= MISREAD_RATE_BOUND * reads
-
-
-class TestAverageFrames:
-    def test_identity(self):
-        lay = geo.TrapLayout((geo.TrapSite(geo.Vec3(0, 0, 0)),))
-        camera = sim.CameraModel()
-        stack = sim.synthesize_fluorescence_stack([True], lay, camera, [0.0])
-        out = sim.average_frames([stack])
-        np.testing.assert_array_equal(out[0].pixels, stack[0].pixels)
-
-    def test_permutation_invariant(self):
-        lay = geo.generate_preset("cubic", n=(3, 3, 1), spacing=(10, 10, 17))
-        camera = sim.CameraModel()
-        rng = np.random.default_rng(5)
-        stacks = [
-            sim.synthesize_fluorescence_stack(
-                rng.random(9) < 0.5, lay, camera, [0.0]
-            )
-            for _ in range(6)
-        ]
-        fwd = sim.average_frames(stacks)
-        rev = sim.average_frames(stacks[::-1])
-        np.testing.assert_allclose(fwd[0].pixels, rev[0].pixels, rtol=1e-12)
-
-    def test_stochastic_average_reveals_geometry(self):
-        # mean amplitude at each site approaches p_load * peak over many frames
-        lay = geo.generate_preset("cubic", n=(3, 3, 1), spacing=(10, 10, 17))
-        camera = sim.CameraModel()
-        rng = np.random.default_rng(6)
-        stacks = [
-            sim.synthesize_fluorescence_stack(
-                sim.simulate_initial_load(lay, 0.5, rng), lay, camera, [0.0]
-            )
-            for _ in range(300)
-        ]
-        mean_img = sim.average_frames(stacks)[0].pixels
-        x0, y0, w, h = sim.camera_grid(lay, camera)
-        for trap in lay.traps:
-            px = int(round((trap.position.x - x0) / camera.pixel_scale_um))
-            py = int(round((trap.position.y - y0) / camera.pixel_scale_um))
-            amp = mean_img[py, px] - camera.background_counts
-            assert amp == pytest.approx(0.5 * camera.peak_counts, rel=0.25)
-
-    def test_dimension_mismatch(self):
-        from tweezer_forge.hologram import Image2D
-
-        with pytest.raises(ValueError):
-            sim.average_frames(
-                [[Image2D(np.zeros((2, 2)))], [Image2D(np.zeros((3, 2)))]]
-            )

@@ -9,15 +9,28 @@ workload runs seed ``seed + i`` on both; even pairs run the parent first and
 odd pairs the change, so a drift in the machine's speed falls on both sides
 alike.  Each run is ``python3 bench/run.py --workload W --seed N --seconds S
 --trace 0`` in the checkout's own directory, and the last line it prints is
-its result.  The end-to-end metrics and the direction in which each is
-better are read from the change's ``BENCHMARK.json``.
+its result.  The end-to-end metrics, the direction in which each is better
+and its bound are read from the change's ``BENCHMARK.json``.
 
 The file records, per workload, every run (pair, seed, side, order,
 ``correct``, ``attempted``, ``failed`` and each end-to-end metric), and for
 each metric the median and quartiles of both sides, the ratio of the
-change's median to the parent's, and the number of pairs the change won.
+change's median to the parent's, the number of pairs the change won and a
+verdict against the metric's ``bound`` in ``BENCHMARK.json``:
+
+- ``unresolved`` when the parent's quartile spread is wider than ``bound``
+  times its median, unless every change run beats every parent run;
+- ``worse`` when the change's median is worse than the parent's by more
+  than ``bound`` times the parent's median;
+- ``ok`` otherwise.
+
 An existing file keeps the workloads this call does not run, so several
 calls with different pair counts build one file.
+
+An A/A run, with PARENT and CHANGE two ``git archive`` copies of one
+commit, shows how far the machine alone moves each metric: an offset that
+appears there, as in a consistent ``peak_rss_mb`` difference, is not the
+change's.
 """
 
 from __future__ import annotations
@@ -41,16 +54,28 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, the change/parent median
-    ratio and the pairs the change won (ties count for neither side)."""
+def verdict(parent: np.ndarray, change: np.ndarray, sign: float, bound: float) -> str:
+    """``unresolved``, ``worse`` or ``ok`` (see the module docstring);
+    ``sign`` is +1 where higher is better and -1 where lower is."""
+    q1, med, q3 = np.percentile(parent, [25, 50, 75])
+    if q3 - q1 > bound * abs(med) and (sign * change).min() <= (sign * parent).max():
+        return "unresolved"
+    if sign * (np.median(change) - med) < -bound * abs(med):
+        return "worse"
+    return "ok"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric (its ``BENCHMARK.json`` entry, keyed by name): each side's
+    median and quartiles, the change/parent median ratio, the pairs the
+    change won (ties count for neither side) and the verdict."""
     out = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
         side = {s: np.array([r["metrics"][name] for r in runs if r["side"] == s]) for s in SIDES}
         by_pair = {}
         for r in runs:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"][name]
-        sign = 1.0 if better == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (p["change"] - p["parent"]) > 0 for p in by_pair.values())
         entry = {}
         for s in SIDES:
@@ -58,6 +83,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
             entry[s] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
         entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
         entry["change_wins"] = f"{wins}/{len(by_pair)}"
+        entry["verdict"] = verdict(side["parent"], side["change"], sign, spec["bound"])
         out[name] = entry
     return out
 
@@ -76,7 +102,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        metrics = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     report = {}
     if os.path.exists(args.out):
