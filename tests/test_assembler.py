@@ -126,8 +126,9 @@ class TestSchedule:
         assert min_clearance(moves[0], lay.positions()[1, :2]) >= radius - 1e-9
 
     def test_deferral_deadlock_emits_first_move(self):
-        # each move's straight path passes the other's source; the matching
-        # never pairs them so, hence the scheduler is driven directly
+        # each move's straight path passes the other's source; with 0 and 3
+        # as targets, plan_plane's matching pairs 1 -> 0 and 2 -> 3 instead,
+        # so the scheduler is driven directly
         lay = point_layout([(-5, 0, 0), (0, 0, 0), (5, 0, 0), (15, 0, 0)])
         plane = geo.decompose_planes(lay, 1.0).planes[0]
         table = asm._plane_table(lay, plane.indices, plane.z_center, asm.PlannerPolicy())

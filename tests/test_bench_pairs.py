@@ -17,8 +17,8 @@ def bench_pairs():
     return module
 
 
-def runs_of(parent, change, name="m"):
-    return [{"pair": i, "side": side, "metrics": {name: value}}
+def runs_of(parent, change):
+    return [{"pair": i, "side": side, "metrics": {"m": value}}
             for i, pair in enumerate(zip(parent, change))
             for side, value in zip(("parent", "change"), pair)]
 
