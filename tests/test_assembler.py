@@ -141,6 +141,22 @@ class TestSchedule:
         assert min_clearance(moves[0], lay.positions()[2, :2]) >= radius - 1e-9
 
 
+    def test_plan_plane_deadlock_emits_first_move(self):
+        # sources 1 and 2 sit 1.5 um apart, inside the collision radius, so
+        # each transfer's straight leg passes the other's source: every
+        # pending move is blocked and plan_plane emits the first, 1 -> 0
+        lay = point_layout([(-5, 0, 0), (0, 0, 0), (1.5, 0, 0), (6.5, 0, 0)], targets=(0, 3))
+        occ = np.array([False, True, True, False])
+        plane = geo.decompose_planes(lay, 1.0).planes[0]
+        table = asm._plane_table(lay, plane.indices, plane.z_center, asm.PlannerPolicy())
+        sched = asm._Scheduler(table, occ)
+        assert 2 in sched.transfer(1, 0).near_hard and 1 in sched.transfer(2, 3).near_hard
+        moves = plane_moves(occ, lay)
+        assert pairs_of(moves) == [(1, 0), (2, 3)]
+        out = asm.apply_plan_lossless(occ, asm.MovePlan(0, 0.0, moves))
+        np.testing.assert_array_equal(out, [True, False, False, True])
+
+
 class TestPlanPlane:
     def test_already_assembled_empty_plan(self, grid_layout_46):
         dec = geo.decompose_planes(grid_layout_46, 1.0)
@@ -178,6 +194,19 @@ class TestPlanPlane:
         occ[:10] = True
         with pytest.raises(asm.PlanInfeasibleError):
             asm.plan_plane(occ, grid_layout_46, dec, 0)
+
+    def test_moves_free_atoms_onto_empty_targets(self, grid_layout_46):
+        # the scheduler relies on this: every source is a loaded non-target
+        # trap and every destination an empty target
+        dec = geo.decompose_planes(grid_layout_46, 1.0)
+        targets = np.array([t.is_target for t in grid_layout_46.traps])
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            occ = random_valid_occupancy(grid_layout_46, dec, rng)
+            for m in asm.plan_plane(occ, grid_layout_46, dec, 0).moves:
+                assert occ[m.from_index] and not targets[m.from_index]
+                if m.kind == "transfer":
+                    assert targets[m.to_index] and not occ[m.to_index]
 
     def test_replay_fills_targets(self, grid_layout_46):
         dec = geo.decompose_planes(grid_layout_46, 1.0)
@@ -445,6 +474,31 @@ class TestPlanAssembly:
         assert plan.total_path_um > 0
 
 
+class TestRemoveAll:
+    """On a plane with no targets, plan_plane ejects every atom."""
+
+    @staticmethod
+    def untargeted(layout):
+        return geo.TrapLayout(tuple(geo.TrapSite(t.position, is_target=False) for t in layout.traps))
+
+    def test_empty_plane(self, grid_layout_46):
+        lay = self.untargeted(grid_layout_46)
+        dec = geo.decompose_planes(lay, 1.0)
+        plan = asm.plan_plane(np.zeros(46, dtype=bool), lay, dec, 0)
+        assert plan.moves == ()
+
+    def test_23_of_46(self, grid_layout_46):
+        lay = self.untargeted(grid_layout_46)
+        dec = geo.decompose_planes(lay, 1.0)
+        occ = np.zeros(46, dtype=bool)
+        occ[np.random.default_rng(1).choice(46, size=23, replace=False)] = True
+        plan = asm.plan_plane(occ, lay, dec, 0)
+        assert len(plan.moves) == 23
+        assert all(m.kind == "eject" for m in plan.moves)
+        out = asm.apply_plan_lossless(occ, plan)
+        assert not out.any()
+
+
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         occ = np.array([True, False, True])
@@ -467,3 +521,19 @@ class TestApplyPlan:
         with pytest.raises(asm.ExecutabilityError) as err:
             asm.apply_plan_lossless(np.array([False, False]), bad)
         assert err.value.move_index == 0
+
+    def test_drop_onto_occupied_rejected(self):
+        path = (geo.Vec3(0, 0, 0), geo.Vec3(5, 0, 0))
+        bad = asm.MovePlan(0, 0.0, (
+            asm.Move("eject", 2, None, (0.0, 20.0), path),
+            asm.Move("transfer", 0, 1, None, path),
+        ))
+        with pytest.raises(asm.ExecutabilityError, match="occupied") as err:
+            asm.apply_plan_lossless(np.array([True, True, True]), bad)
+        assert err.value.move_index == 1
+
+    def test_unknown_kind_rejected(self):
+        path = (geo.Vec3(0, 0, 0), geo.Vec3(5, 0, 0))
+        bad = asm.MovePlan(0, 0.0, (asm.Move("swap", 0, 1, None, path),))
+        with pytest.raises(ValueError, match="unknown move kind"):
+            asm.apply_plan_lossless(np.array([True, False]), bad)

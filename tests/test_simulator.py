@@ -52,6 +52,26 @@ class TestInitialLoad:
             sim.simulate_initial_load(lay, 1.5, sim.shot_rng(0, 0))
 
 
+    def test_stochastic_average_reveals_geometry(self):
+        # mean amplitude at each site approaches p_load * peak over many frames
+        lay = geo.generate_preset("cubic", n=(3, 3, 1), spacing=(10, 10, 17))
+        camera = sim.CameraModel()
+        rng = np.random.default_rng(6)
+        frames = [
+            sim.synthesize_fluorescence_stack(
+                sim.simulate_initial_load(lay, 0.5, rng), lay, camera, [0.0]
+            )[0].pixels
+            for _ in range(300)
+        ]
+        mean_img = np.mean(frames, axis=0)
+        x0, y0, w, h = sim.camera_grid(lay, camera)
+        for trap in lay.traps:
+            px = int(round((trap.position.x - x0) / camera.pixel_scale_um))
+            py = int(round((trap.position.y - y0) / camera.pixel_scale_um))
+            amp = mean_img[py, px] - camera.background_counts
+            assert amp == pytest.approx(0.5 * camera.peak_counts, rel=0.25)
+
+
 class TestRunShot:
     def test_lossless_fill_is_one(self):
         cfg = small_config(seed=1, loss=phy.lossless_model())
