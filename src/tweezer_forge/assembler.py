@@ -9,7 +9,7 @@ of scope).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -148,30 +148,34 @@ def assignment_min_cost(sources, targets, metric: str = "euclidean") -> np.ndarr
 # ---------------------------------------------------------------------------
 
 _GRAPH_REACH_UM = 8.0  # covers one lattice step or diagonal
-# entries per memo, keyed by route endpoints: a plane of n traps has at most
-# about 2 n^2 endpoint pairs (10k for a bilayer72 plane)
-_MEMO_LIMIT = 16_384
 
 
 class _PlaneTable:
     """Planner geometry of one plane, fixed by (layout, plane, policy).
 
-    Nodes are the in-plane ("hard") trap sites followed by the other-plane
-    junction sites within the axial clearance; a node's position in that
-    order indexes every table below.  The in-plane nodes are the only
+    Every point a route can touch is an integer id.  The nodes come first:
+    the in-plane ("hard") trap sites, then the other-plane junction sites
+    within the axial clearance; then the eject exit of each in-plane node
+    (node k's exit is point ``n_nodes + k``).  ``point_xy`` holds each
+    point's position and ``points`` its ``Vec3`` at the MT height, built
+    once and shared by every path.  The in-plane nodes are the only
     possible blockers: the simulator charges other-plane atoms at a move's
     pick and drop points, never along its path.  Every segment the
-    scheduler tests joins fixed points (trap sites, eject exits and the
-    detour waypoints of a pair), so which in-plane traps can block it is
-    computed once here; a planning call only applies the occupancy.
+    scheduler tests joins two points or a pair's detour waypoint, so which
+    in-plane traps can block it is memoised by point ids, and a planning
+    call only applies the occupancy.  The memos hold at most one entry per
+    (point, point) pair, so they need no bound.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
     sit in the middle of lattice corridors, so hopping across empty sites
     follows the corridors exactly; other-plane sites are junctions that are
-    always free, whatever their occupancy.  An edge is unusable while an
-    in-plane trap it passes (other than its ends) is occupied.  The
-    breadth-first corridor search visits each level's nodes in trap order
-    (``by_trap``), so its ties break on trap index.
+    always free, whatever their occupancy.  ``adj`` holds it with the nodes
+    in trap order (row r is node ``by_trap[r]``), so the corridor search
+    visits each level's nodes in trap order and its ties break on trap
+    index.  An edge is unusable while an in-plane trap it passes (other
+    than its ends) is occupied: ``cut_by`` lists those blockers and
+    ``cut_at`` the flat ``adj`` position of each (edge, blocker) pair, once
+    per direction.
     """
 
     def __init__(self, layout: TrapLayout, hard_key: tuple, mt_z: float,
@@ -187,21 +191,32 @@ class _PlaneTable:
         hard[list(hard_key)] = True
         junction = (np.abs(pos[:, 2] - mt_z) < policy.z_clearance_um) & ~hard
         self.nodes = np.concatenate([np.nonzero(hard)[0], np.nonzero(junction)[0]])
-        self.node_ids = self.nodes.tolist()
+        self.n_nodes = self.nodes.size
         self.n_hard = int(hard.sum())
         self.node_of = np.full(n, -1, dtype=np.intp)
-        self.node_of[self.nodes] = np.arange(self.nodes.size)
-        self.node_xy = self.xy[self.nodes]
+        self.node_of[self.nodes] = np.arange(self.n_nodes)
+        node_xy = self.xy[self.nodes]
+        self.point_xy = np.concatenate(
+            [node_xy, _exits(node_xy[:self.n_hard], policy.eject_margin_um,
+                             policy.fov_lateral_um)])
+        self.points = [Vec3(float(x), float(y), mt_z) for x, y in self.point_xy]
 
-        pts = self.node_xy
-        d2 = np.einsum("ijk,ijk->ij", pts[:, None] - pts[None, :], pts[:, None] - pts[None, :])
-        self.edge_i, self.edge_j = np.nonzero(np.triu(d2 <= _GRAPH_REACH_UM**2, k=1))
-        close = self._blockers(pts[self.edge_i], pts[self.edge_j])
-        for ends in (self.edge_i, self.edge_j):  # an edge's own ends
+        d2 = np.einsum("ijk,ijk->ij", node_xy[:, None] - node_xy[None, :],
+                       node_xy[:, None] - node_xy[None, :])
+        edge_i, edge_j = np.nonzero(np.triu(d2 <= _GRAPH_REACH_UM**2, k=1))
+        close = self._blockers(node_xy[edge_i], node_xy[edge_j])
+        for ends in (edge_i, edge_j):  # an edge's own ends
             own = ends < self.n_hard
             close[ends[own], np.nonzero(own)[0]] = False
-        self.edge_hard = close.T.astype(float)  # edge x in-plane trap
-        self.by_trap = np.argsort(self.nodes)  # node positions in trap order
+        self.by_trap = np.argsort(self.nodes)  # node ids in trap order
+        self.rank = np.argsort(self.by_trap)  # each node's place in it
+        ri, rj = self.rank[edge_i], self.rank[edge_j]
+        self.adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        self.adj[ri, rj] = self.adj[rj, ri] = True
+        by, e = np.nonzero(close)
+        self.cut_by = np.concatenate([by, by])
+        self.cut_at = np.concatenate([ri[e] * self.n_nodes + rj[e],
+                                      rj[e] * self.n_nodes + ri[e]])
         self._legs: dict = {}
         self._straights: dict = {}
         self._detours: dict = {}
@@ -210,34 +225,33 @@ class _PlaneTable:
     def _memo(store: dict, key, build):
         value = store.get(key)
         if value is None:
-            if len(store) >= _MEMO_LIMIT:
-                store.clear()
             value = store[key] = build()
         return value
 
     def _blockers(self, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
         """In-plane node x segment: True where the node lies within the
         collision radius of the segment."""
-        hard_xy = self.node_xy[:self.n_hard]
+        hard_xy = self.point_xy[:self.n_hard]
         return kernels.segment_point_distances(hard_xy, seg_a, seg_b) < self.radius
 
-    def legs(self, point: np.ndarray, outbound: bool) -> np.ndarray:
-        """In-plane blockers (in-plane node x node) of the legs point -> node
-        (``outbound``) or node -> point."""
+    def legs(self, point: int, outbound: bool) -> np.ndarray:
+        """In-plane blockers (in-plane node x node, the nodes in trap order)
+        of the legs point -> node (``outbound``) or node -> point."""
         def build():
-            ends = np.repeat(point[None, :], self.node_xy.shape[0], 0)
-            seg_a, seg_b = (ends, self.node_xy) if outbound else (self.node_xy, ends)
-            return self._blockers(seg_a, seg_b)
-        return self._memo(self._legs, (point.tobytes(), outbound), build)
+            node_xy = self.point_xy[:self.n_nodes]
+            ends = np.repeat(self.point_xy[point][None, :], self.n_nodes, 0)
+            seg_a, seg_b = (ends, node_xy) if outbound else (node_xy, ends)
+            return self._blockers(seg_a, seg_b)[:, self.by_trap]
+        return self._memo(self._legs, (point, outbound), build)
 
-    def straight(self, a_xy: np.ndarray, b_xy: np.ndarray) -> np.ndarray:
+    def straight(self, a: int, b: int) -> np.ndarray:
         """In-plane blockers (one flag per in-plane node) of the straight
         leg a -> b."""
         def build():
-            return self._blockers(a_xy[None, :], b_xy[None, :])[:, 0]
-        return self._memo(self._straights, (a_xy.tobytes(), b_xy.tobytes()), build)
+            return self._blockers(self.point_xy[a][None, :], self.point_xy[b][None, :])[:, 0]
+        return self._memo(self._straights, (a, b), build)
 
-    def detour(self, a_xy: np.ndarray, b_xy: np.ndarray):
+    def detour(self, a: int, b: int):
         """Single-waypoint detour candidates of a pair and what blocks them.
 
         Returns (cands, rows, blocked): the waypoints inside the field of
@@ -246,6 +260,7 @@ class _PlaneTable:
         it blocks (m columns).
         """
         def build():
+            a_xy, b_xy = self.point_xy[a], self.point_xy[b]
             seg = b_xy - a_xy
             seg_len = float(np.hypot(*seg))
             if seg_len < 1e-12:
@@ -265,34 +280,48 @@ class _PlaneTable:
             blocked = close[:, :m] | close[:, m:]
             rows = np.nonzero(blocked.any(axis=1))[0]
             return cands, rows, blocked[rows]
-        return self._memo(self._detours, (a_xy.tobytes(), b_xy.tobytes()), build)
-
-    @cached_property
-    def exits(self) -> np.ndarray:
-        """Eject exit of each in-plane node (rows in node order): the nearest
-        point ``eject_margin_um`` outside the convex hull of the plane's
-        traps, clamped into the field of view."""
-        plane_xy = self.node_xy[:self.n_hard]
-        margin, fov = self.policy.eject_margin_um, self.policy.fov_lateral_um
-        hull = _convex_hull(plane_xy)
-        if hull.shape[0] == 1:
-            return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
-        edges = [(hull[i], hull[(i + 1) % hull.shape[0]]) for i in range(hull.shape[0])]
-        if hull.shape[0] == 2:
-            edges = edges[:1]
-        centroid = hull.mean(axis=0)
-        return np.array([_exit_point(p, edges, centroid, margin, fov) for p in plane_xy])
+        return self._memo(self._detours, (a, b), build)
 
 
 @lru_cache(maxsize=32)
+def _shared_plane_table(layout: TrapLayout, hard_key: tuple, mt_z: float,
+                        policy: PlannerPolicy) -> _PlaneTable:
+    return _PlaneTable(layout, hard_key, mt_z, policy)
+
+
 def _plane_table(layout: TrapLayout, hard_key: tuple, mt_z: float,
                  policy: PlannerPolicy) -> _PlaneTable:
-    return _PlaneTable(layout, hard_key, mt_z, policy)
+    """The plane's table, kept on the layout instance (like its hash, and
+    dropped from its pickled state).  A new instance looks it up by value
+    once, so a rebuilt but equal layout shares the warm table."""
+    tables = layout.__dict__.get("_plane_tables")
+    if tables is None:
+        tables = {}
+        object.__setattr__(layout, "_plane_tables", tables)
+    key = (hard_key, mt_z, policy)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _shared_plane_table(layout, hard_key, mt_z, policy)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # eject exit geometry
 # ---------------------------------------------------------------------------
+
+def _exits(plane_xy: np.ndarray, margin: float, fov: float) -> np.ndarray:
+    """Eject exit of each of the plane's traps: the nearest point ``margin``
+    um outside the convex hull of the traps, clamped into the field of
+    view."""
+    hull = _convex_hull(plane_xy)
+    if hull.shape[0] == 1:
+        return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
+    edges = [(hull[i], hull[(i + 1) % hull.shape[0]]) for i in range(hull.shape[0])]
+    if hull.shape[0] == 2:
+        edges = edges[:1]
+    centroid = hull.mean(axis=0)
+    return np.array([_exit_point(p, edges, centroid, margin, fov) for p in plane_xy])
+
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; returns hull vertices counter-clockwise.
@@ -355,14 +384,15 @@ def _exit_point(p: np.ndarray, edges, centroid: np.ndarray, margin: float,
 # ---------------------------------------------------------------------------
 
 class _Pending(NamedTuple):
-    """A move waiting to run.  An ejection has no ``dst``; its ``end`` is its
-    exit.  ``near_hard`` are the in-plane traps, other than ``exclude``,
-    close enough to ever block the straight leg; occupancy is applied at
-    scheduling time."""
+    """A move waiting to run, from point ``a`` (the source trap's node) to
+    point ``b`` (the destination's node, or for an ejection, which has no
+    ``dst``, the source's exit).  ``near_hard`` are the in-plane traps,
+    other than the move's own, close enough to ever block the straight
+    leg; occupancy is applied at scheduling time."""
     src: int
     dst: Optional[int]
-    end: np.ndarray
-    exclude: tuple[int, ...]
+    a: int
+    b: int
     near_hard: list[int]
 
 
@@ -375,69 +405,77 @@ class _Scheduler:
     path is routed around it (single waypoint, then a corridor search through
     empty trap sites and other-plane junctions).  Atoms in other planes are
     no obstacle: the simulator charges them at a move's pick and drop
-    points, which the matching fixes, and never along its path.
+    points, which the matching fixes, and never along its path.  Routes run
+    on the table's point ids, and a path is made of the table's shared
+    ``Vec3`` points; only a detour waypoint is built per move.
     """
 
     def __init__(self, table: _PlaneTable, occupancy: np.ndarray):
         self.table = table
-        self.xy = table.xy
         self.occ = occupancy.copy()
         self.occ_hard = self.occ[table.nodes[:table.n_hard]]  # in-plane nodes
         self.out: list[Move] = []
 
     # -- moves ---------------------------------------------------------------
 
-    def _pending(self, src: int, dst: Optional[int], end: np.ndarray) -> _Pending:
-        exclude = (src,) if dst is None else (src, dst)
+    def _pending(self, src: int, dst: Optional[int], a: int, b: int) -> _Pending:
         t = self.table
-        near = t.nodes[:t.n_hard][t.straight(self.xy[src], end)].tolist()
-        return _Pending(src, dst, end, exclude, [c for c in near if c not in exclude])
+        near = t.nodes[:t.n_hard][t.straight(a, b)].tolist()
+        return _Pending(src, dst, a, b, [c for c in near if c != src and c != dst])
 
     def transfer(self, src: int, dst: int) -> _Pending:
-        return self._pending(src, dst, self.xy[dst])
+        node_of = self.table.node_of
+        return self._pending(src, dst, int(node_of[src]), int(node_of[dst]))
 
     def eject(self, src: int) -> _Pending:
-        return self._pending(src, None, self.table.exits[self.table.node_of[src]])
+        a = int(self.table.node_of[src])
+        return self._pending(src, None, a, self.table.n_nodes + a)
 
     # -- routing -------------------------------------------------------------
 
-    def _corridor_route(self, a_xy, b_xy, live, free):
-        """Fewest-hop route a -> (free nodes) -> b along corridor edges.
+    def _corridor_route(self, a: int, b: int, live: np.ndarray):
+        """Fewest-hop route a -> (free nodes) -> b along corridor edges, as
+        the node ids of its hops, or None when the in-plane atoms disconnect
+        a from b.
 
         A leg or edge is usable unless an occupied in-plane trap (``live``
         for the legs, any for the edges) blocks it.  Free nodes are the
-        empty in-plane sites outside the move and every other-plane
-        junction.  The caller tries the direct a -> b leg first, so the
-        route has at least one node.  The search is breadth-first, one
-        level of nodes at a time in trap order: the first node of a level
-        with a usable leg to b is the last hop, and a node's predecessor
-        is the first node of the previous level that reaches it.  Returns
-        None when the in-plane atoms disconnect a from b.
+        empty in-plane sites other than the destination and every
+        other-plane junction.  The caller tries the direct a -> b leg first,
+        so the route has at least one node.  The search is breadth-first,
+        one level of nodes at a time in trap order, on the table's
+        adjacency less the edges an occupied trap cuts: the first node of a
+        level with a usable leg to b is the last hop, and each earlier hop
+        is the first node of the level before that is adjacent to the next.
         """
         t = self.table
-        seen = free & ~t.legs(a_xy, outbound=True)[live].any(axis=0)
-        to_b = ~t.legs(b_xy, outbound=False)[live].any(axis=0)
-        ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ self.occ_hard == 0)
-        adj = np.zeros((free.size, free.size), dtype=bool)
-        adj[t.edge_i[ok], t.edge_j[ok]] = True
-        adj |= adj.T
-        prev = np.full(free.size, -1)
-        level = t.by_trap[seen[t.by_trap]]
-        while level.size:
-            last = level[to_b[level]]
-            if last.size:
-                hops = [int(last[0])]
-                while prev[hops[-1]] >= 0:
-                    hops.append(int(prev[hops[-1]]))
-                return [a_xy] + [t.node_xy[p] for p in reversed(hops)] + [b_xy]
-            reach = adj[level] & ~seen
-            new = reach.any(axis=0)
-            prev[new] = level[reach[:, new].argmax(axis=0)]
-            seen |= new
-            level = t.by_trap[new[t.by_trap]]
-        return None
+        free = np.ones(t.n_nodes, dtype=bool)  # in trap order, as are the legs
+        free[t.rank[:t.n_hard]] = ~self.occ_hard
+        if b < t.n_hard:
+            free[t.rank[b]] = False
+        from_a = free & ~t.legs(a, outbound=True)[live].any(axis=0)
+        to_b = ~t.legs(b, outbound=False)[live].any(axis=0)
+        level = np.flatnonzero(from_a)
+        last = level[to_b[level]]
+        levels = []
+        if not last.size:
+            adj = t.adj.copy()
+            adj.flat[t.cut_at[self.occ_hard[t.cut_by]]] = False
+            seen = ~free | from_a
+            while not last.size:
+                levels.append(level)
+                new = adj[level].any(axis=0) & ~seen
+                level = np.flatnonzero(new)
+                if not level.size:
+                    return None
+                seen |= new
+                last = level[to_b[level]]
+        hops = [last[0]]
+        for prev in reversed(levels):
+            hops.append(prev[np.argmax(adj[prev, hops[-1]])])
+        return t.by_trap[hops[::-1]].tolist()
 
-    def _route(self, m: _Pending) -> list:
+    def _route(self, m: _Pending) -> tuple[Vec3, ...]:
         """Path of ``m`` honouring the in-plane collision rule.
 
         The first that applies: the straight leg when no occupied in-plane
@@ -446,41 +484,35 @@ class _Scheduler:
         (least-bad: the close pass is accepted).
         """
         t = self.table
-        a_xy, b_xy = self.xy[m.src], m.end
+        start, end = t.points[m.a], t.points[m.b]
         if not any(self.occ[c] for c in m.near_hard):
-            return [a_xy, b_xy]
-        excluded = np.zeros(t.n_hard, dtype=bool)
-        pos = t.node_of[list(m.exclude)]
-        excluded[pos[(pos >= 0) & (pos < t.n_hard)]] = True
-        live = self.occ_hard & ~excluded
-
-        cands, rows, blocked = t.detour(a_xy, b_xy)
+            return start, end
+        # the source is the move's only occupied trap (the destination is
+        # an empty target), so it alone leaves the blockers
+        live = self.occ_hard.copy()
+        live[m.a] = False
+        cands, rows, blocked = t.detour(m.a, m.b)
         clear = ~blocked[live[rows]].any(axis=0)
         if clear.any():
-            return [a_xy, cands[int(np.argmax(clear))], b_xy]
-        free = np.ones(len(t.node_ids), dtype=bool)
-        free[:t.n_hard] = ~self.occ_hard & ~excluded
-        path = self._corridor_route(a_xy, b_xy, live, free)
-        return [a_xy, b_xy] if path is None else path
+            x, y = cands[int(np.argmax(clear))]
+            return start, Vec3(float(x), float(y), t.mt_z), end
+        hops = self._corridor_route(m.a, m.b, live)
+        if hops is None:
+            return start, end
+        return (start, *[t.points[h] for h in hops], end)
 
     # -- emission ------------------------------------------------------------
 
-    def _set_occ(self, trap: int, value: bool) -> None:
-        self.occ[trap] = value
-        node = self.table.node_of[trap]
-        if 0 <= node < self.table.n_hard:
-            self.occ_hard[node] = value
-
     def _emit(self, m: _Pending) -> None:
-        path = tuple(Vec3(float(w[0]), float(w[1]), self.table.mt_z) for w in self._route(m))
+        path = self._route(m)
         if m.dst is None:
             self.out.append(Move(kind="eject", from_index=m.src, to_index=None,
-                                 exit_um=(float(m.end[0]), float(m.end[1])), path=path))
+                                 exit_um=(path[-1].x, path[-1].y), path=path))
         else:
             self.out.append(Move(kind="transfer", from_index=m.src, to_index=m.dst,
                                  exit_um=None, path=path))
-            self._set_occ(m.dst, True)
-        self._set_occ(m.src, False)
+            self.occ[m.dst] = self.occ_hard[m.b] = True
+        self.occ[m.src] = self.occ_hard[m.a] = False
 
     # -- main loop -----------------------------------------------------------
 

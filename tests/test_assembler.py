@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tweezer_forge import assembler as asm
 from tweezer_forge import configs
 from tweezer_forge import geometry as geo
 from tweezer_forge import kernels
+from tweezer_forge import simulator as sim
 from conftest import random_valid_occupancy
 
 
@@ -330,21 +332,51 @@ class TestPlaneTable:
         plane = dec.planes[0]
         policy = asm.PlannerPolicy(collision_radius_um=3.0)
         table = asm._plane_table(bilayer_layout, plane.indices, plane.z_center, policy)
-        nh = table.n_hard
-        assert len(table.node_ids) > nh  # the other plane's junctions take part
+        n, nh = table.n_nodes, table.n_hard
+        assert n > nh  # the other plane's junctions take part
         blocked_beyond_2um = 0
-        for e, (i, j) in enumerate(zip(table.edge_i, table.edge_j)):
+        for ri, rj in zip(*np.nonzero(np.triu(table.adj))):
+            i, j = sorted(int(k) for k in table.by_trap[[ri, rj]])
+            edge_hard = np.zeros(nh, dtype=bool)
+            edge_hard[table.cut_by[table.cut_at == ri * n + rj]] = True
             ends = [k for k in (i, j) if k < nh]
-            assert not table.edge_hard[e][ends].any()
+            assert not edge_hard[ends].any()
             others = np.ones(nh, dtype=bool)
             others[ends] = False
-            leg = table.straight(table.node_xy[i], table.node_xy[j])[others]
-            edge = table.edge_hard[e][others] > 0
+            leg = table.straight(i, j)[others]
+            edge = edge_hard[others]
             np.testing.assert_array_equal(leg, edge)
             d = kernels.segment_point_distances(
-                table.node_xy[:nh][others], table.node_xy[i][None], table.node_xy[j][None])
+                table.point_xy[:nh][others], table.point_xy[i][None], table.point_xy[j][None])
             blocked_beyond_2um += int((edge & (d[:, 0] >= 2.0)).sum())
         assert blocked_beyond_2um > 0
+
+    def test_memos_bounded_by_point_pairs(self):
+        """The memos are keyed by point ids, so after 500 bilayer72 shots
+        each holds no more entries than its table has point pairs."""
+        cfg = cached_config("bilayer72")
+        sim.run_experiment(cfg, 500)
+        for plane in cfg.decomposition.planes:
+            table = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
+            n_points = len(table.points)
+            assert n_points == table.n_nodes + table.n_hard
+            for memo in (table._legs, table._straights, table._detours):
+                assert 0 < len(memo) <= n_points**2
+
+    def test_table_kept_on_layout_not_pickled(self, bilayer_layout):
+        """The table is kept on the layout instance, a rebuilt equal layout
+        shares it, and a pickled layout carries none."""
+        dec = geo.decompose_planes(bilayer_layout, 1.0)
+        plane = dec.planes[0]
+        occ = random_valid_occupancy(bilayer_layout, dec, np.random.default_rng(3), p=0.6)
+        plan = asm.plan_plane(occ, bilayer_layout, dec, 0)
+        table = asm._plane_table(bilayer_layout, plane.indices, plane.z_center, asm.PlannerPolicy())
+        assert table in bilayer_layout.__dict__["_plane_tables"].values()
+        copy = pickle.loads(pickle.dumps(bilayer_layout))
+        assert copy == bilayer_layout
+        assert "_plane_tables" not in copy.__dict__
+        assert asm.plan_plane(occ, copy, dec, 0) == plan
+        assert asm._plane_table(copy, plane.indices, plane.z_center, asm.PlannerPolicy()) is table
 
 
 class TestCorridorSearch:
@@ -353,13 +385,15 @@ class TestCorridorSearch:
            seed=st.integers(0, 2**32 - 1), p_load=st.floats(0.3, 0.8))
     def test_fewest_hops(self, name, seed, p_load):
         """The corridor route has as few hops as a shortest-path search on
-        the usable legs and edges finds, each of its hops is usable, and it
-        is None exactly when no such path exists."""
+        the usable legs and edges finds, each of its hops is usable, it is
+        None exactly when no such path exists, and its ties break on trap
+        index: the last node is the first at its distance with a usable leg
+        to b, each earlier one the first a level nearer adjacent to the
+        next."""
         cfg = cached_config(name)
         plane = cfg.decomposition.planes[0]
         t = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
-        n, nh = len(t.node_ids), t.n_hard
-        at = {tuple(xy): p for p, xy in enumerate(t.node_xy)}
+        n, nh = t.n_nodes, t.n_hard
         rng = np.random.default_rng(seed)
         sched = asm._Scheduler(t, rng.random(len(cfg.layout.traps)) < p_load)
         loaded = [i for i in plane.indices if sched.occ[i]]
@@ -370,30 +404,38 @@ class TestCorridorSearch:
                 move = sched.transfer(src, int(rng.choice(empty)))
             else:
                 move = sched.eject(src)
-            # live and free as _route builds them
-            excluded = np.zeros(nh, dtype=bool)
-            excluded[t.node_of[list(move.exclude)]] = True
-            live = sched.occ_hard & ~excluded
+            # live and free as _route builds them; the graph below has the
+            # nodes in trap order, as the table's adjacency and legs do
+            live = sched.occ_hard.copy()
+            live[move.a] = False
             free = np.ones(n, dtype=bool)
-            free[:nh] = ~sched.occ_hard & ~excluded
-            a_xy, b_xy = t.xy[move.src], move.end
-            from_a = free & ~t.legs(a_xy, outbound=True)[live].any(axis=0)
-            to_b = ~t.legs(b_xy, outbound=False)[live].any(axis=0)
-            edge_ok = free[t.edge_i] & free[t.edge_j] & (t.edge_hard @ sched.occ_hard == 0)
+            free[:nh] = ~sched.occ_hard
+            if move.dst is not None:
+                free[move.b] = False
+            free = free[t.by_trap]
+            from_a = free & ~t.legs(move.a, outbound=True)[live].any(axis=0)
+            to_b = ~t.legs(move.b, outbound=False)[live].any(axis=0)
+            edge_ok = t.adj & free[:, None] & free[None, :]
+            cut = np.divmod(t.cut_at[sched.occ_hard[t.cut_by]], n)
+            edge_ok[cut] = False
             usable = np.zeros((n + 2, n + 2))  # the nodes, then a, then b
-            usable[t.edge_i[edge_ok], t.edge_j[edge_ok]] = 1
-            usable[t.edge_j[edge_ok], t.edge_i[edge_ok]] = 1
+            usable[:n, :n] = edge_ok
             usable[n, :n] = from_a
             usable[:n, n + 1] = to_b
-            hops = shortest_path(usable, unweighted=True, indices=n)[n + 1]
+            dist = shortest_path(usable, unweighted=True, indices=n)
+            hops = dist[n + 1]
 
-            path = sched._corridor_route(a_xy, b_xy, live, free)
+            path = sched._corridor_route(move.a, move.b, live)
             if np.isinf(hops):
                 assert path is None
                 continue
-            assert path is not None and len(path) - 1 == hops
-            ids = [n] + [at[tuple(xy)] for xy in path[1:-1]] + [n + 1]
+            assert path is not None and len(path) + 1 == hops
+            ranks = t.rank[path]
+            ids = [n] + ranks.tolist() + [n + 1]
             assert all(usable[u, v] for u, v in zip(ids, ids[1:]))
+            assert ranks[-1] == np.flatnonzero((dist[:n] == hops - 1) & to_b)[0]
+            for r, after in zip(ranks[:-1], ranks[1:]):
+                assert r == np.flatnonzero((dist[:n] == dist[after] - 1) & edge_ok[:, after])[0]
 
 
 class TestOtherPlaneJunctions:

@@ -154,28 +154,6 @@ def test_plan_skeletons_match_recorded_digests(corpus, name):
     assert not mismatches, f"{len(mismatches)} plan skeletons differ, first {mismatches[:5]}"
 
 
-def test_bounded_memo_keeps_plans(corpus, monkeypatch):
-    """Evicting the per-plane geometry memos changes no plan."""
-    cfg = CONFIGS["bilayer72"]()
-    entry = corpus["bilayer72"]
-    n = len(cfg.layout.traps)
-    monkeypatch.setattr(asm, "_MEMO_LIMIT", 3)
-    asm._plane_table.cache_clear()
-    try:
-        for hex_occ, *digests in entry["shots"][:25]:
-            occ = decode_occupancy(hex_occ, n)
-            for p, want in zip(entry["planes"], digests):
-                plan = asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
-                assert plan_digest(plan) == want
-        for p in entry["planes"]:
-            plane = cfg.decomposition.planes[p]
-            table = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
-            for memo in (table._legs, table._straights, table._detours):
-                assert 0 < len(memo) <= 3
-    finally:
-        asm._plane_table.cache_clear()
-
-
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
