@@ -163,8 +163,11 @@ class _PlaneTable:
     pick and drop points, never along its path.  Every segment the
     scheduler tests joins two points or a pair's detour waypoint, so which
     in-plane traps can block it is memoised by point ids, and a planning
-    call only applies the occupancy.  The memos hold at most one entry per
-    (point, point) pair, so they need no bound.
+    call only applies the occupancy.  A move runs from an in-plane source a
+    (never a target) to a target or to a's exit, so for s sources and t
+    targets the ``straight`` and ``detour`` memos, keyed (a, b), hold at
+    most s (t + 1) entries (10,100 on a 200-trap plane) and ``legs``,
+    keyed (point, outbound), at most 2 s + t: they need no bound.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
     sit in the middle of lattice corridors, so hopping across empty sites
@@ -284,43 +287,47 @@ class _PlaneTable:
 
 
 @lru_cache(maxsize=32)
-def _shared_plane_table(layout: TrapLayout, hard_key: tuple, mt_z: float,
-                        policy: PlannerPolicy) -> _PlaneTable:
-    return _PlaneTable(layout, hard_key, mt_z, policy)
-
-
 def _plane_table(layout: TrapLayout, hard_key: tuple, mt_z: float,
                  policy: PlannerPolicy) -> _PlaneTable:
-    """The plane's table, kept on the layout instance (like its hash, and
-    dropped from its pickled state).  A new instance looks it up by value
-    once, so a rebuilt but equal layout shares the warm table."""
-    tables = layout.__dict__.get("_plane_tables")
-    if tables is None:
-        tables = {}
-        object.__setattr__(layout, "_plane_tables", tables)
-    key = (hard_key, mt_z, policy)
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = _shared_plane_table(layout, hard_key, mt_z, policy)
-    return table
+    return _PlaneTable(layout, hard_key, mt_z, policy)
 
 
 # ---------------------------------------------------------------------------
 # eject exit geometry
 # ---------------------------------------------------------------------------
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (..., 2) arrays, by the same matmul kernel
+    as a 1-d ``x @ y``, so it rounds alike."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _exits(plane_xy: np.ndarray, margin: float, fov: float) -> np.ndarray:
     """Eject exit of each of the plane's traps: the nearest point ``margin``
     um outside the convex hull of the traps, clamped into the field of
-    view."""
+    view.  The nearest hull point of a trap is on the first hull edge (in
+    hull order) at the least distance."""
     hull = _convex_hull(plane_xy)
     if hull.shape[0] == 1:
         return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
-    edges = [(hull[i], hull[(i + 1) % hull.shape[0]]) for i in range(hull.shape[0])]
-    if hull.shape[0] == 2:
-        edges = edges[:1]
-    centroid = hull.mean(axis=0)
-    return np.array([_exit_point(p, edges, centroid, margin, fov) for p in plane_xy])
+    a = hull if hull.shape[0] > 2 else hull[:1]  # collinear: one edge
+    d = np.roll(hull, -1, axis=0)[:a.shape[0]] - a
+    dd = _dot(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dd > 0, np.clip(_dot(plane_xy[:, None] - a, d) / dd, 0.0, 1.0), 0.0)
+    q = a + t[..., None] * d  # trap x edge
+    qp = q - plane_xy[:, None]
+    dist = np.hypot(qp[..., 0], qp[..., 1])
+    rows, k = np.arange(plane_xy.shape[0]), np.argmin(dist, axis=1)
+    dist, q, d, qp = dist[rows, k], q[rows, k], d[k], qp[rows, k]
+    inside = dist > 1e-9  # the trap is inside the hull: outward direction
+    normal = np.stack([d[:, 1], -d[:, 0]], axis=1)  # boundary trap: edge normal
+    norm = np.hypot(normal[:, 0], normal[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = np.where(norm[:, None] > 0, normal / norm[:, None], [1.0, 0.0])
+    normal[_dot(normal, q - hull.mean(axis=0)) < 0] *= -1
+    normal[inside] = qp[inside] / dist[inside, None]
+    return np.clip(q + margin * normal, -fov, fov)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -352,31 +359,6 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     if len(hull) < 3:  # collinear
         return np.array([pts[0], pts[-1]])
     return np.array(hull)
-
-
-def _exit_point(p: np.ndarray, edges, centroid: np.ndarray, margin: float,
-                fov: float) -> np.ndarray:
-    """Nearest point ``margin`` um outside the hull with these edges,
-    clamped into the field of view."""
-    best = None
-    for a, b in edges:
-        d = b - a
-        dd = float(d @ d)
-        t = float(np.clip((p - a) @ d / dd, 0.0, 1.0)) if dd > 0 else 0.0
-        q = a + t * d
-        dist = float(np.hypot(*(q - p)))
-        if best is None or dist < best[0]:
-            best = (dist, q, d)
-    dist, q, d = best
-    if dist > 1e-9:
-        normal = (q - p) / dist  # p is inside the hull: outward direction
-    else:
-        normal = np.array([d[1], -d[0]])  # boundary point: edge normal
-        norm = float(np.hypot(*normal))
-        normal = normal / norm if norm > 0 else np.array([1.0, 0.0])
-        if normal @ (q - centroid) < 0:
-            normal = -normal
-    return np.clip(q + margin * normal, -fov, fov)
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,9 @@ class TrapLayout:
         return cached
 
     def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a copy rehashes; the
-        # planner's plane tables (``_plane_tables``) stay behind too
+        # string hashes differ between processes: a copy rehashes
         state = dict(self.__dict__)
         state.pop("_hash", None)
-        state.pop("_plane_tables", None)
         return state
 
     def __len__(self) -> int:

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from tweezer_forge import assembler as asm
 from tweezer_forge import configs
 from tweezer_forge import geometry as geo
 from tweezer_forge import kernels
-from tweezer_forge import simulator as sim
 from conftest import random_valid_occupancy
 
 
@@ -351,32 +349,31 @@ class TestPlaneTable:
             blocked_beyond_2um += int((edge & (d[:, 0] >= 2.0)).sum())
         assert blocked_beyond_2um > 0
 
-    def test_memos_bounded_by_point_pairs(self):
-        """The memos are keyed by point ids, so after 500 bilayer72 shots
-        each holds no more entries than its table has point pairs."""
+    def test_memo_keys_are_move_ends(self, monkeypatch):
+        """The memos are keyed by a move's end points: a is an in-plane
+        source (not a target) and b a target or a's exit.  So for s sources
+        and t targets the straight and detour memos hold at most s (t + 1)
+        entries and the legs memo at most 2 s + t."""
+        monkeypatch.setattr(asm, "_plane_table", functools.lru_cache(asm._PlaneTable))
         cfg = cached_config("bilayer72")
-        sim.run_experiment(cfg, 500)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            occ = random_valid_occupancy(cfg.layout, cfg.decomposition, rng, p=cfg.p_load)
+            for p in range(len(cfg.decomposition.planes)):
+                asm.plan_plane(occ, cfg.layout, cfg.decomposition, p, cfg.planner)
         for plane in cfg.decomposition.planes:
-            table = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
-            n_points = len(table.points)
-            assert n_points == table.n_nodes + table.n_hard
-            for memo in (table._legs, table._straights, table._detours):
-                assert 0 < len(memo) <= n_points**2
-
-    def test_table_kept_on_layout_not_pickled(self, bilayer_layout):
-        """The table is kept on the layout instance, a rebuilt equal layout
-        shares it, and a pickled layout carries none."""
-        dec = geo.decompose_planes(bilayer_layout, 1.0)
-        plane = dec.planes[0]
-        occ = random_valid_occupancy(bilayer_layout, dec, np.random.default_rng(3), p=0.6)
-        plan = asm.plan_plane(occ, bilayer_layout, dec, 0)
-        table = asm._plane_table(bilayer_layout, plane.indices, plane.z_center, asm.PlannerPolicy())
-        assert table in bilayer_layout.__dict__["_plane_tables"].values()
-        copy = pickle.loads(pickle.dumps(bilayer_layout))
-        assert copy == bilayer_layout
-        assert "_plane_tables" not in copy.__dict__
-        assert asm.plan_plane(occ, copy, dec, 0) == plan
-        assert asm._plane_table(copy, plane.indices, plane.z_center, asm.PlannerPolicy()) is table
+            t = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
+            n, nh = t.n_nodes, t.n_hard
+            target = t.is_target[t.nodes[:nh]]
+            s, tg = int((~target).sum()), int(target.sum())
+            assert len(t.points) == n + nh
+            for memo in (t._straights, t._detours):
+                assert all(0 <= a < nh and not target[a]
+                           and (b < nh and target[b] or b == n + a) for a, b in memo)
+                assert 0 < len(memo) <= s * (tg + 1)
+            assert all(k < nh and (target[k] != outbound) or not outbound and k - n in range(nh)
+                       for k, outbound in t._legs)
+            assert 0 < len(t._legs) <= 2 * s + tg
 
 
 class TestCorridorSearch:

@@ -22,7 +22,7 @@ def route_counts():
 @pytest.mark.parametrize("name", ["bilayer72", "four_plane", "one_plane"])
 def test_counts_sum_to_moves(route_counts, name):
     route, corridor = asm._Scheduler._route, asm._Scheduler._corridor_route
-    corpus = json.loads(route_counts.CORPUS.read_text())
+    corpus = json.loads(route_counts.FIXTURE.read_text())
     counts = route_counts.route_counts(name, corpus, shots=30)
     assert counts["moves"] > 0 and counts["total_path_um"] > 0
     assert sum(counts[k] for k in route_counts.KINDS) == counts["moves"]

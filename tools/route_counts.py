@@ -22,25 +22,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import sys
 from pathlib import Path
 
-import numpy as np
-
 from tweezer_forge import assembler as asm
-from tweezer_forge import configs
 
-CORPUS = Path(__file__).resolve().parents[1] / "tests" / "data" / "plan_identity.json"
-CONFIGS = {
-    "bilayer72": configs.bilayer72_config,
-    "four_plane": configs.four_plane_config,
-    "one_plane": configs.one_plane_config,
-}
+# the corpus, its configs and its occupancy encoding are defined beside the
+# test that checks it
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_plan_identity import CONFIGS, FIXTURE, decode_occupancy  # noqa: E402
+
 KINDS = ("straight", "detour", "corridor", "least_bad")
-
-
-def decode_occupancy(text: str, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))
-    return bits[:n].astype(bool)
 
 
 @contextlib.contextmanager
@@ -99,7 +91,7 @@ def main() -> None:
     unknown = sorted(set(args.configs) - set(CONFIGS))
     if unknown:
         parser.error(f"unknown config {', '.join(unknown)}")
-    corpus = json.loads(CORPUS.read_text())
+    corpus = json.loads(FIXTURE.read_text())
     for name in args.configs or CONFIGS:
         print(json.dumps(route_counts(name, corpus, args.shots)))
 
