@@ -206,8 +206,8 @@ def trap_amplitudes(mask: PhaseMask, layout: TrapLayout, slm: SlmConfig) -> np.n
     traps = layout.positions()
     _check_paraxial(traps)
     xs, ys = slm.pixel_coords()
-    ux, uy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
-    v = kernels.trap_fields(_slm_field(slm, mask.phases), ux, uy)
+    factors = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
+    v = kernels.trap_fields(_slm_field(slm, mask.phases), *factors)
     return v / _input_norm(slm)
 
 
@@ -223,6 +223,15 @@ def _unit_phasor(b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _wrapped_phase(u: np.ndarray) -> np.ndarray:
+    """angle(u) in [0, 2*pi): a negative angle gets 2*pi added, and one so
+    close to 0 that the sum rounds to 2*pi becomes 0."""
+    p = np.angle(u)
+    np.add(p, 2.0 * math.pi, out=p, where=p < 0.0)
+    p[p == 2.0 * math.pi] = 0.0
+    return p
+
+
 def _run_wgs(
     traps: np.ndarray,
     slm: SlmConfig,
@@ -236,12 +245,14 @@ def _run_wgs(
     layout's transfer factors and one normalisation; the phases are taken
     once, from the best u.  The separable illumination gy x gx is folded
     into the forward factors once per solve, so the forward product takes
-    u itself."""
+    u itself.  The factors hold one column per distinct (x, z) and (y, z)
+    pair of the layout, so a lattice's solve costs in its distinct rows and
+    columns, not in its traps."""
     n_traps = traps.shape[0]
     xs, ys = slm.pixel_coords()
     gy, gx = slm.input_amplitude()
     norm = _input_norm(slm)
-    ux, uy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
+    ux, ix, uy, iy = kernels.point_factors(xs, ys, traps, slm.alpha, slm.gamma)
     lit_x, lit_y = gx[:, None] * ux, gy[:, None] * uy
 
     if target_amps is None:
@@ -254,7 +265,7 @@ def _run_wgs(
     trap_phases = rng.uniform(0.0, 2.0 * math.pi, n_traps)
     weights = np.ones(n_traps)
     coeff = weights * targets * np.exp(1j * trap_phases)
-    u = _unit_phasor(kernels.back_field(coeff, ux, uy))
+    u = _unit_phasor(kernels.back_field(coeff, ux, ix, uy, iy))
 
     best_rms = math.inf
     best_u = u
@@ -264,7 +275,7 @@ def _run_wgs(
     iterations = 0
     for _ in range(wgs.max_iters):
         iterations += 1
-        v = kernels.trap_fields(u, lit_x, lit_y) / norm
+        v = kernels.trap_fields(u, lit_x, ix, lit_y, iy) / norm
         mag = np.abs(v)
         rel = np.maximum(mag, 1e-300) / targets
         rms = float(np.std(rel**2) / np.mean(rel**2))
@@ -279,7 +290,7 @@ def _run_wgs(
         weights = weights * (np.mean(rel) / rel) ** wgs.weight_gain
         weights = weights / weights.mean()
         coeff = weights * targets * v / np.maximum(mag, 1e-300)
-        u = _unit_phasor(kernels.back_field(coeff, ux, uy))
+        u = _unit_phasor(kernels.back_field(coeff, ux, ix, uy, iy))
 
     report = UniformityReport(
         per_trap_intensity=tuple(best_intensity / best_intensity.mean()),
@@ -288,7 +299,7 @@ def _run_wgs(
         converged=converged,
         rms_history=tuple(history),
     )
-    return np.mod(np.angle(best_u), 2.0 * math.pi), report
+    return _wrapped_phase(best_u), report
 
 
 def compute_phase_mask(

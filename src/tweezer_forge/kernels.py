@@ -7,10 +7,15 @@ transfer phase for a pixel at (x, y) and a point at (X, Y, Z) is
 
 with ``alpha = 2*pi / (wavelength * focal)`` and
 ``gamma = pi / (wavelength * focal**2)``.  The phase separates into a
-pixel-column and a pixel-row factor, so the transfer to a set of points is
-two matrices, ``point_factors(xs, ys, points, alpha, gamma) -> (ux, uy)``.
-``trap_fields(field, ux, uy)`` and ``back_field(coeff, ux, uy)`` take them
-built, so a WGS solve builds them once for its layout.
+pixel-column and a pixel-row factor.  A column factor depends on a point's
+(X, Z) alone and a row factor on its (Y, Z), and the points of a lattice
+share them, so ``point_factors(xs, ys, points, alpha, gamma) -> (ux, ix, uy,
+iy)`` builds one column of ``ux`` per distinct (X, Z) pair and one of ``uy``
+per distinct (Y, Z) pair; point m uses column ``ix[m]`` of ``ux`` and
+``iy[m]`` of ``uy``.  ``trap_fields(field, ux, ix, uy, iy)`` and
+``back_field(coeff, ux, ix, uy, iy)`` take them built, so a WGS solve builds
+them once for its layout, and the products with the (ny, nx) field cost in
+the number of distinct pairs, not of points.
 
 ``intensity_slices`` splits the same phase the other way: the lateral
 factors ``exp(i*alpha*outer(xs, vx))`` and ``exp(i*alpha*outer(ys, vy))``
@@ -37,23 +42,47 @@ def _axis_factors(coords, points_lat, points_z, alpha, gamma):
 
 
 def point_factors(xs, ys, traps, alpha, gamma):
-    """Transfer factors (ux, uy) of the points ``traps`` (n, 3): ux is
-    (nx, n) over the pixel columns ``xs``, uy is (ny, n) over the rows ``ys``.
-    They depend on the layout alone, so a solve builds them once."""
-    ux = _axis_factors(xs, traps[:, 0], traps[:, 2], alpha, gamma)
-    uy = _axis_factors(ys, traps[:, 1], traps[:, 2], alpha, gamma)
-    return ux, uy
+    """Transfer factors (ux, ix, uy, iy) of the points ``traps`` (n, 3): ux
+    is (nx, kx) over the pixel columns ``xs``, one column per distinct (X, Z)
+    pair, and uy is (ny, ky) over the rows ``ys``, one per distinct (Y, Z)
+    pair; point m's factors are ``ux[:, ix[m]]`` and ``uy[:, iy[m]]``.  Pairs
+    are merged on exact equality, so a merged column is the one each of its
+    points would have had.  They depend on the layout alone, so a solve
+    builds them once."""
+    xz, ix = np.unique(traps[:, [0, 2]], axis=0, return_inverse=True)
+    yz, iy = np.unique(traps[:, [1, 2]], axis=0, return_inverse=True)
+    ux = _axis_factors(xs, xz[:, 0], xz[:, 1], alpha, gamma)
+    uy = _axis_factors(ys, yz[:, 0], yz[:, 1], alpha, gamma)
+    return ux, ix.ravel(), uy, iy.ravel()  # 1-D whatever numpy's inverse shape
 
 
-def trap_fields(field, ux, uy):
-    """Complex field at each point for an SLM field ``field`` (ny, nx)."""
+def trap_fields(field, ux, ix, uy, iy):
+    """Complex field at each point for an SLM field ``field`` (ny, nx): one
+    (ny, nx) @ (nx, kx) product, then each point's row factor against its
+    column of it."""
     t = field @ ux
-    return np.einsum("ym,ym->m", uy, t)
+    return np.einsum("ym,ym->m", uy[:, iy], t[:, ix])
 
 
-def back_field(coeff, ux, uy):
-    """Superpose conjugate point waves on the pixel grid: (ny, nx) complex."""
-    return (uy.conj() * coeff) @ ux.conj().T
+def back_field(coeff, ux, ix, uy, iy):
+    """Superpose conjugate point waves on the pixel grid: (ny, nx) complex.
+    The row waves of the points that share a column factor are summed
+    first, so the product with ``ux`` is one (ny, kx) @ (kx, nx)."""
+    order = np.argsort(ix, kind="stable")
+    counts = np.bincount(ix)
+    starts = np.cumsum(counts) - counts  # column c's points: order[starts[c]:][:counts[c]]
+    # add each column's j-th point wave to its sum, one rank j at a time: a
+    # pass per point of the largest group, where a reduceat pays per group.
+    # The waves are summed unconjugated and the sums conjugated once, which
+    # is exact: conj(uy) * c == conj(uy * conj(c)).
+    c = coeff.conj()
+    first = order[starts]
+    rows = uy[:, iy[first]]
+    rows *= c[first]
+    for j in range(1, counts.max()):
+        m = order[starts[counts > j] + j]
+        rows[:, ix[m]] += uy[:, iy[m]] * c[m]
+    return np.conjugate(rows, out=rows) @ ux.conj().T
 
 
 def _lateral_factors(coords, points_lat, alpha):

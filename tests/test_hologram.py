@@ -151,8 +151,8 @@ class TestSlmField:
         gy, gx = SMALL_SLM.input_amplitude()
         xs, ys = SMALL_SLM.pixel_coords()
         field = (gy[:, None] * gx[None, :]) * np.exp(1j * mask.phases)
-        ux, uy = kernels.point_factors(xs, ys, lay.positions(), SMALL_SLM.alpha, SMALL_SLM.gamma)
-        expected = kernels.trap_fields(field, ux, uy) / (gy.sum() * gx.sum())
+        factors = kernels.point_factors(xs, ys, lay.positions(), SMALL_SLM.alpha, SMALL_SLM.gamma)
+        expected = kernels.trap_fields(field, *factors) / (gy.sum() * gx.sum())
         got = holo.trap_amplitudes(mask, lay, SMALL_SLM)
         assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) <= 1e-12
 
@@ -347,14 +347,36 @@ class TestWgsAgainstReference:
         build = kernels._axis_factors
 
         def counted(*args):
-            calls.append(1)
+            calls.append(args[1].size)
             return build(*args)
 
         monkeypatch.setattr(kernels, "_axis_factors", counted)
         _, report = holo.compute_phase_mask(
             grid_layout(4, 6.0), SMALL_SLM, holo.WgsConfig(max_iters=20, target_rms=1e-12))
         assert report.iterations_used == 20 and not report.converged
-        assert len(calls) == 2  # ux and uy, whatever the iteration count
+        # ux and uy, whatever the iteration count, each with one column per
+        # distinct row or column of the 4x4 grid
+        assert calls == [4, 4]
+
+
+class TestWrappedPhase:
+    def test_negative_zero_angle_wraps_to_zero(self):
+        # np.mod(np.angle(1 - 1e-17j), 2*pi) is exactly 2*pi, outside [0, 2*pi)
+        u = np.array([1.0 - 1e-17j, 1.0 + 0.0j, -1.0 + 0.0j, -1.0j, 1.0j])
+        assert np.mod(np.angle(u[0]), 2.0 * math.pi) == 2.0 * math.pi
+        np.testing.assert_array_equal(
+            holo._wrapped_phase(u), [0.0, 0.0, math.pi, 1.5 * math.pi, 0.5 * math.pi])
+
+    def test_matches_mod_below_two_pi(self):
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        u[0, :3] = [1.0 - 1e-17j, -1.0 - 1e-300j, 0.0]
+        p = holo._wrapped_phase(u)
+        assert np.all((p >= 0.0) & (p < 2.0 * math.pi))
+        ref = np.mod(np.angle(u), 2.0 * math.pi)
+        below = ref < 2.0 * math.pi
+        assert not below[0, 0] and below.sum() == u.size - 1
+        np.testing.assert_array_equal(p[below], ref[below])
 
 
 class TestClosedLoop:

@@ -1,5 +1,6 @@
 """The numpy kernels against direct references: each field kernel against an
-unfactored sum over every SLM pixel, the segment distances against a loop
+unfactored sum over every SLM pixel, on random points and on a lattice whose
+points share column and row factors, the segment distances against a loop
 over every (point, segment) pair, and the spot renderer against a per-pixel
 Gaussian sum with the same 4-sigma window, and a spot wholly outside the
 image adds nothing."""
@@ -21,6 +22,15 @@ def problem():
     return field, xs, ys, traps, 7.392e-4, 3.696e-8
 
 
+def shared_traps():
+    """A 3x3 lattice on two z planes, plus one point that shares a lattice x
+    but no z, in shuffled order: 7 distinct (x, z) and 7 distinct (y, z)
+    pairs among 19 points."""
+    lattice = [(x, y, z) for z in (-6.0, 11.0) for y in (-8.0, 0.5, 9.0) for x in (-7.5, 2.0, 12.0)]
+    traps = np.array(lattice + [(2.0, 4.0, 3.0)])
+    return traps[np.random.default_rng(4).permutation(len(traps))]
+
+
 def _pixel_phase(xs, ys, point, a, g):
     """Transfer phase from every pixel (ny, nx) to one point (X, Y, Z)."""
     xx, yy = np.meshgrid(xs, ys)
@@ -39,8 +49,20 @@ def _direct_intensity(field, xs, ys, vx, vy, vz, a, g):
     return out
 
 
-def test_trap_fields_match_brute_force(problem):
-    field, xs, ys, traps, a, g = problem
+def test_point_factors_one_column_per_distinct_pair(problem):
+    _, xs, ys, _, a, g = problem
+    traps = shared_traps()
+    ux, ix, uy, iy = kernels.point_factors(xs, ys, traps, a, g)
+    assert ux.shape == (xs.size, 7) and uy.shape == (ys.size, 7)
+    for m, (x, y, z) in enumerate(traps):
+        # each point's columns are the ones built for it alone
+        np.testing.assert_array_equal(ux[:, ix[m]], kernels._axis_factors(xs, [x], [z], a, g)[:, 0])
+        np.testing.assert_array_equal(uy[:, iy[m]], kernels._axis_factors(ys, [y], [z], a, g)[:, 0])
+        assert np.all((ix == ix[m]) == ((traps[:, 0] == x) & (traps[:, 2] == z)))
+        assert np.all((iy == iy[m]) == ((traps[:, 1] == y) & (traps[:, 2] == z)))
+
+
+def _check_trap_fields(field, xs, ys, traps, a, g):
     # direct unfactored sum over every pixel
     expected = np.array([
         (field * np.exp(1j * _pixel_phase(xs, ys, t, a, g))).sum() for t in traps
@@ -49,8 +71,7 @@ def test_trap_fields_match_brute_force(problem):
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-9
 
 
-def test_back_field_matches_direct_sum(problem):
-    _, xs, ys, traps, a, g = problem
+def _check_back_field(xs, ys, traps, a, g):
     rng = np.random.default_rng(3)
     coeff = rng.standard_normal(len(traps)) + 1j * rng.standard_normal(len(traps))
     # every pixel gets sum_m coeff_m * conj(exp(i * phase_m))
@@ -61,6 +82,25 @@ def test_back_field_matches_direct_sum(problem):
     got = kernels.back_field(coeff, *kernels.point_factors(xs, ys, traps, a, g))
     assert got.shape == (ys.size, xs.size)
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-9
+
+
+def test_trap_fields_match_brute_force(problem):
+    _check_trap_fields(*problem)
+
+
+def test_back_field_matches_direct_sum(problem):
+    _, xs, ys, traps, a, g = problem
+    _check_back_field(xs, ys, traps, a, g)
+
+
+def test_trap_fields_match_brute_force_on_shared_columns(problem):
+    field, xs, ys, _, a, g = problem
+    _check_trap_fields(field, xs, ys, shared_traps(), a, g)
+
+
+def test_back_field_matches_direct_sum_on_shared_columns(problem):
+    _, xs, ys, _, a, g = problem
+    _check_back_field(xs, ys, shared_traps(), a, g)
 
 
 def test_intensity_slices_match_direct_sum(problem):
