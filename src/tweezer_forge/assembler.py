@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .geometry import PlaneDecomposition, TrapLayout, Vec3
+from .geometry import DEFAULT_LIMITS, PlaneDecomposition, TrapLayout, Vec3
 
 
 class PlanInfeasibleError(RuntimeError):
@@ -38,7 +38,6 @@ class PlannerPolicy:
     z_clearance_um: float = 17.0
     cost_metric: str = "euclidean"  # or "squared_euclidean"
     eject_margin_um: float = 20.0
-    fov_lateral_um: float = 50.0
 
     def __post_init__(self):
         if self.cost_metric not in ("euclidean", "squared_euclidean"):
@@ -161,13 +160,14 @@ class _PlaneTable:
     once and shared by every path.  The in-plane nodes are the only
     possible blockers: the simulator charges other-plane atoms at a move's
     pick and drop points, never along its path.  Every segment the
-    scheduler tests joins two points or a pair's detour waypoint, so which
-    in-plane traps can block it is memoised by point ids, and a planning
-    call only applies the occupancy.  A move runs from an in-plane source a
-    (never a target) to a target or to a's exit, so for s sources and t
-    targets the ``straight`` and ``detour`` memos, keyed (a, b), hold at
-    most s (t + 1) entries (10,100 on a 200-trap plane) and ``legs``,
-    keyed (point, outbound), at most 2 s + t: they need no bound.
+    scheduler tests joins a point to a node or passes a pair's detour
+    waypoint, so which in-plane traps can block it is memoised by point
+    ids, and a planning call only applies the occupancy.  A move runs from
+    an in-plane source a (never a target) to a target or to a's exit b.
+    ``legs`` holds the legs from a and the legs into b, a move's straight
+    leg among them (a is a node), so for s sources and t targets it holds
+    at most 2 s + t entries, and ``detour``, keyed (a, b), at most
+    s (t + 1) (10,100 on a 200-trap plane): they need no bound.
 
     The corridor graph joins nodes within ``_GRAPH_REACH_UM``.  Trap sites
     sit in the middle of lattice corridors, so hopping across empty sites
@@ -186,7 +186,6 @@ class _PlaneTable:
         pos = layout.positions()
         n = len(layout.traps)
         self.mt_z = mt_z
-        self.policy = policy
         self.radius = policy.collision_radius_um
         self.xy = pos[:, :2]
         self.is_target = np.array([t.is_target for t in layout.traps])
@@ -200,8 +199,7 @@ class _PlaneTable:
         self.node_of[self.nodes] = np.arange(self.n_nodes)
         node_xy = self.xy[self.nodes]
         self.point_xy = np.concatenate(
-            [node_xy, _exits(node_xy[:self.n_hard], policy.eject_margin_um,
-                             policy.fov_lateral_um)])
+            [node_xy, _exits(node_xy[:self.n_hard], policy.eject_margin_um)])
         self.points = [Vec3(float(x), float(y), mt_z) for x, y in self.point_xy]
 
         d2 = np.einsum("ijk,ijk->ij", node_xy[:, None] - node_xy[None, :],
@@ -221,7 +219,6 @@ class _PlaneTable:
         self.cut_at = np.concatenate([ri[e] * self.n_nodes + rj[e],
                                       rj[e] * self.n_nodes + ri[e]])
         self._legs: dict = {}
-        self._straights: dict = {}
         self._detours: dict = {}
 
     @staticmethod
@@ -247,13 +244,6 @@ class _PlaneTable:
             return self._blockers(seg_a, seg_b)[:, self.by_trap]
         return self._memo(self._legs, (point, outbound), build)
 
-    def straight(self, a: int, b: int) -> np.ndarray:
-        """In-plane blockers (one flag per in-plane node) of the straight
-        leg a -> b."""
-        def build():
-            return self._blockers(self.point_xy[a][None, :], self.point_xy[b][None, :])[:, 0]
-        return self._memo(self._straights, (a, b), build)
-
     def detour(self, a: int, b: int):
         """Single-waypoint detour candidates of a pair and what blocks them.
 
@@ -276,7 +266,7 @@ class _PlaneTable:
                 cands = (anchors[None, :, None, :]
                          + (offs[:, None, None, None] * np.array([1.0, -1.0])[None, None, :, None])
                          * perp[None, None, None, :]).reshape(-1, 2)
-                cands = cands[np.abs(cands).max(axis=1) <= self.policy.fov_lateral_um]
+                cands = cands[np.abs(cands).max(axis=1) <= DEFAULT_LIMITS.max_lateral_um]
             m = cands.shape[0]
             close = self._blockers(np.concatenate([np.repeat(a_xy[None, :], m, 0), cands]),
                                    np.concatenate([cands, np.repeat(b_xy[None, :], m, 0)]))
@@ -302,11 +292,12 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _exits(plane_xy: np.ndarray, margin: float, fov: float) -> np.ndarray:
+def _exits(plane_xy: np.ndarray, margin: float) -> np.ndarray:
     """Eject exit of each of the plane's traps: the nearest point ``margin``
-    um outside the convex hull of the traps, clamped into the field of
-    view.  The nearest hull point of a trap is on the first hull edge (in
+    um outside the convex hull of the traps, clamped into the layout's
+    lateral field of view.  The nearest hull point of a trap is on the first hull edge (in
     hull order) at the least distance."""
+    fov = DEFAULT_LIMITS.max_lateral_um
     hull = _convex_hull(plane_xy)
     if hull.shape[0] == 1:
         return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
@@ -383,13 +374,14 @@ class _Scheduler:
     traps in the plane being sorted.
 
     In-plane occupied traps are collision constraints: a blocked move is
-    deferred when the blocker will be vacated by a pending move, otherwise the
-    path is routed around it (single waypoint, then a corridor search through
-    empty trap sites and other-plane junctions).  Atoms in other planes are
-    no obstacle: the simulator charges them at a move's pick and drop
-    points, which the matching fixes, and never along its path.  Routes run
-    on the table's point ids, and a path is made of the table's shared
-    ``Vec3`` points; only a detour waypoint is built per move.
+    deferred when the blocker will be vacated by a pending move, otherwise
+    one breadth-first search routes it around them: the straight leg, then
+    a detour waypoint or a free node, then corridor hops through empty trap
+    sites and other-plane junctions.  Atoms in other planes are no
+    obstacle: the simulator charges them at a move's pick and drop points,
+    which the matching fixes, and never along its path.  Routes run on the
+    table's point ids, and a path is made of the table's shared ``Vec3``
+    points; only a detour waypoint is built per move.
     """
 
     def __init__(self, table: _PlaneTable, occupancy: np.ndarray):
@@ -402,7 +394,7 @@ class _Scheduler:
 
     def _pending(self, src: int, dst: Optional[int], a: int, b: int) -> _Pending:
         t = self.table
-        near = t.nodes[:t.n_hard][t.straight(a, b)].tolist()
+        near = t.nodes[:t.n_hard][t.legs(b, outbound=False)[:, t.rank[a]]].tolist()
         return _Pending(src, dst, a, b, [c for c in near if c != src and c != dst])
 
     def transfer(self, src: int, dst: int) -> _Pending:
@@ -415,28 +407,45 @@ class _Scheduler:
 
     # -- routing -------------------------------------------------------------
 
-    def _corridor_route(self, a: int, b: int, live: np.ndarray):
-        """Fewest-hop route a -> (free nodes) -> b along corridor edges, as
-        the node ids of its hops, or None when the in-plane atoms disconnect
-        a from b.
+    def _route(self, m: _Pending) -> tuple[Vec3, ...]:
+        """Fewest-hop path of ``m`` that no occupied in-plane trap blocks,
+        found breadth-first, one level at a time; the first point of a level
+        with a clear leg to b ends the search.
 
-        A leg or edge is usable unless an occupied in-plane trap (``live``
-        for the legs, any for the edges) blocks it.  Free nodes are the
-        empty in-plane sites other than the destination and every
-        other-plane junction.  The caller tries the direct a -> b leg first,
-        so the route has at least one node.  The search is breadth-first,
-        one level of nodes at a time in trap order, on the table's
-        adjacency less the edges an occupied trap cuts: the first node of a
-        level with a usable leg to b is the last hop, and each earlier hop
-        is the first node of the level before that is adjacent to the next.
+        - Level 0 is the straight leg a -> b, clear unless a trap of
+          ``near_hard`` is occupied.
+        - Level 1 is the pair's detour waypoints, then the free nodes in
+          trap order, each reached when its leg from a is clear.  A waypoint
+          has no corridor edges, so it ends the search or drops out.
+        - Each later level is the free nodes, in trap order, that a corridor
+          edge no occupied trap cuts joins to the level before.
+
+        Free nodes are the empty in-plane sites other than the destination
+        and every other-plane junction.  Each hop before the last is the
+        first node of its level joined to the next.  When the atoms
+        disconnect a from b the search fails and the straight leg is taken
+        anyway (least-bad: the close pass is accepted).
         """
         t = self.table
+        start, end = t.points[m.a], t.points[m.b]
+        if not any(self.occ[c] for c in m.near_hard):
+            return start, end
+        # the source is the move's only occupied trap (the destination is
+        # an empty target), so it alone leaves the blockers
+        live = self.occ_hard.copy()
+        live[m.a] = False
+        # level 1: the waypoints, then the free nodes
+        cands, rows, blocked = t.detour(m.a, m.b)
+        clear = ~blocked[live[rows]].any(axis=0)
+        if clear.any():
+            x, y = cands[int(np.argmax(clear))]
+            return start, Vec3(float(x), float(y), t.mt_z), end
         free = np.ones(t.n_nodes, dtype=bool)  # in trap order, as are the legs
         free[t.rank[:t.n_hard]] = ~self.occ_hard
-        if b < t.n_hard:
-            free[t.rank[b]] = False
-        from_a = free & ~t.legs(a, outbound=True)[live].any(axis=0)
-        to_b = ~t.legs(b, outbound=False)[live].any(axis=0)
+        if m.b < t.n_hard:
+            free[t.rank[m.b]] = False
+        from_a = free & ~t.legs(m.a, outbound=True)[live].any(axis=0)
+        to_b = ~t.legs(m.b, outbound=False)[live].any(axis=0)
         level = np.flatnonzero(from_a)
         last = level[to_b[level]]
         levels = []
@@ -449,39 +458,13 @@ class _Scheduler:
                 new = adj[level].any(axis=0) & ~seen
                 level = np.flatnonzero(new)
                 if not level.size:
-                    return None
+                    return start, end
                 seen |= new
                 last = level[to_b[level]]
         hops = [last[0]]
         for prev in reversed(levels):
             hops.append(prev[np.argmax(adj[prev, hops[-1]])])
-        return t.by_trap[hops[::-1]].tolist()
-
-    def _route(self, m: _Pending) -> tuple[Vec3, ...]:
-        """Path of ``m`` honouring the in-plane collision rule.
-
-        The first that applies: the straight leg when no occupied in-plane
-        trap is near it; the first single-waypoint detour clear of every
-        occupied in-plane trap; the corridor search; the straight leg anyway
-        (least-bad: the close pass is accepted).
-        """
-        t = self.table
-        start, end = t.points[m.a], t.points[m.b]
-        if not any(self.occ[c] for c in m.near_hard):
-            return start, end
-        # the source is the move's only occupied trap (the destination is
-        # an empty target), so it alone leaves the blockers
-        live = self.occ_hard.copy()
-        live[m.a] = False
-        cands, rows, blocked = t.detour(m.a, m.b)
-        clear = ~blocked[live[rows]].any(axis=0)
-        if clear.any():
-            x, y = cands[int(np.argmax(clear))]
-            return start, Vec3(float(x), float(y), t.mt_z), end
-        hops = self._corridor_route(m.a, m.b, live)
-        if hops is None:
-            return start, end
-        return (start, *[t.points[h] for h in hops], end)
+        return (start, *[t.points[h] for h in t.by_trap[hops[::-1]]], end)
 
     # -- emission ------------------------------------------------------------
 

@@ -341,7 +341,7 @@ class TestPlaneTable:
             assert not edge_hard[ends].any()
             others = np.ones(nh, dtype=bool)
             others[ends] = False
-            leg = table.straight(i, j)[others]
+            leg = table.legs(j, outbound=False)[:, table.rank[i]][others]
             edge = edge_hard[others]
             np.testing.assert_array_equal(leg, edge)
             d = kernels.segment_point_distances(
@@ -352,8 +352,8 @@ class TestPlaneTable:
     def test_memo_keys_are_move_ends(self, monkeypatch):
         """The memos are keyed by a move's end points: a is an in-plane
         source (not a target) and b a target or a's exit.  So for s sources
-        and t targets the straight and detour memos hold at most s (t + 1)
-        entries and the legs memo at most 2 s + t."""
+        and t targets the detour memo holds at most s (t + 1) entries and
+        the legs memo at most 2 s + t."""
         monkeypatch.setattr(asm, "_plane_table", functools.lru_cache(asm._PlaneTable))
         cfg = cached_config("bilayer72")
         rng = np.random.default_rng(17)
@@ -367,10 +367,9 @@ class TestPlaneTable:
             target = t.is_target[t.nodes[:nh]]
             s, tg = int((~target).sum()), int(target.sum())
             assert len(t.points) == n + nh
-            for memo in (t._straights, t._detours):
-                assert all(0 <= a < nh and not target[a]
-                           and (b < nh and target[b] or b == n + a) for a, b in memo)
-                assert 0 < len(memo) <= s * (tg + 1)
+            assert all(0 <= a < nh and not target[a]
+                       and (b < nh and target[b] or b == n + a) for a, b in t._detours)
+            assert 0 < len(t._detours) <= s * (tg + 1)
             assert all(k < nh and (target[k] != outbound) or not outbound and k - n in range(nh)
                        for k, outbound in t._legs)
             assert 0 < len(t._legs) <= 2 * s + tg
@@ -381,12 +380,14 @@ class TestCorridorSearch:
     @given(name=st.sampled_from(["bilayer72", "one_plane"]),
            seed=st.integers(0, 2**32 - 1), p_load=st.floats(0.3, 0.8))
     def test_fewest_hops(self, name, seed, p_load):
-        """The corridor route has as few hops as a shortest-path search on
-        the usable legs and edges finds, each of its hops is usable, it is
-        None exactly when no such path exists, and its ties break on trap
-        index: the last node is the first at its distance with a usable leg
-        to b, each earlier one the first a level nearer adjacent to the
-        next."""
+        """``_route`` takes the straight leg when no occupied in-plane trap
+        is near it, else the first detour waypoint with both legs clear.
+        Else its corridor route has as few hops as a shortest-path search
+        on the usable legs and edges finds, each of its hops is usable, it
+        is the straight leg exactly when no such path exists, and its ties
+        break on trap index: the last node is the first at its distance
+        with a usable leg to b, each earlier one the first a level nearer
+        adjacent to the next."""
         cfg = cached_config(name)
         plane = cfg.decomposition.planes[0]
         t = asm._plane_table(cfg.layout, plane.indices, plane.z_center, cfg.planner)
@@ -395,16 +396,34 @@ class TestCorridorSearch:
         sched = asm._Scheduler(t, rng.random(len(cfg.layout.traps)) < p_load)
         loaded = [i for i in plane.indices if sched.occ[i]]
         empty = [i for i in plane.indices if not sched.occ[i]]
+        point_id = {id(p): k for k, p in enumerate(t.points)}
         for _ in range(10):
             src = int(rng.choice(loaded))
             if empty and rng.random() < 0.7:
                 move = sched.transfer(src, int(rng.choice(empty)))
             else:
                 move = sched.eject(src)
+            path = sched._route(move)
+            assert path[0] is t.points[move.a] and path[-1] is t.points[move.b]
             # live and free as _route builds them; the graph below has the
             # nodes in trap order, as the table's adjacency and legs do
             live = sched.occ_hard.copy()
             live[move.a] = False
+
+            def clear(*xy):
+                """The legs through ``xy`` pass no occupied trap but a."""
+                xy = np.array(xy)
+                d = kernels.segment_point_distances(t.point_xy[:nh][live], xy[:-1], xy[1:])
+                return not (d < t.radius).any()
+
+            a_xy, b_xy = t.point_xy[move.a], t.point_xy[move.b]
+            if clear(a_xy, b_xy):
+                assert len(path) == 2
+                continue
+            waypoints = [c for c in t.detour(move.a, move.b)[0] if clear(a_xy, c, b_xy)]
+            if waypoints:
+                assert len(path) == 3 and (path[1].x, path[1].y) == tuple(waypoints[0])
+                continue
             free = np.ones(n, dtype=bool)
             free[:nh] = ~sched.occ_hard
             if move.dst is not None:
@@ -422,12 +441,12 @@ class TestCorridorSearch:
             dist = shortest_path(usable, unweighted=True, indices=n)
             hops = dist[n + 1]
 
-            path = sched._corridor_route(move.a, move.b, live)
             if np.isinf(hops):
-                assert path is None
+                assert len(path) == 2
                 continue
-            assert path is not None and len(path) + 1 == hops
-            ranks = t.rank[path]
+            nodes = [point_id[id(p)] for p in path[1:-1]]
+            assert len(nodes) + 1 == hops
+            ranks = t.rank[nodes]
             ids = [n] + ranks.tolist() + [n + 1]
             assert all(usable[u, v] for u, v in zip(ids, ids[1:]))
             assert ranks[-1] == np.flatnonzero((dist[:n] == hops - 1) & to_b)[0]

@@ -6,15 +6,16 @@ For each canonical config (all three by default) every recorded occupancy
 of ``tests/data/plan_identity.json`` (or its first K) is planned plane by
 plane, and the tool prints one JSON object per config: the moves, how many
 took the straight leg, a single-waypoint detour, a corridor route or the
-least-bad pass (a failed corridor search, so the straight leg is taken
-anyway), and the total path length in um.  The four route counts sum to
-the moves; corridor searches are the corridor routes plus the least-bad
-passes.
+least-bad pass (a failed search, so the straight leg is taken anyway), and
+the total path length in um.  The four route counts sum to the moves.
 
-The counts come from wrapping ``_Scheduler._route`` and
-``_Scheduler._corridor_route``, whatever their arguments, so the tool reads
-any version of the planner that ``PYTHONPATH`` selects: run it on two
-checkouts to compare their routing.
+The counts come from wrapping ``_Scheduler._route`` alone.  Each move is
+classed by the path it returns and by the scheduler's occupancy before the
+call: two points with an occupied trap near the straight leg are a
+least-bad pass, two points otherwise the straight leg, three points whose
+middle one is not a point of the plane table a detour, and anything else a
+corridor route.  So the tool reads any version of the planner that
+``PYTHONPATH`` selects: run it on two checkouts to compare their routing.
 """
 
 from __future__ import annotations
@@ -38,29 +39,25 @@ KINDS = ("straight", "detour", "corridor", "least_bad")
 @contextlib.contextmanager
 def counting(counts: dict):
     """Count each routed move's kind into ``counts`` while inside."""
-    route, corridor = asm._Scheduler._route, asm._Scheduler._corridor_route
-    searches: list[bool] = []
-
-    def counted_corridor(self, *args, **kwargs):
-        path = corridor(self, *args, **kwargs)
-        searches.append(path is not None)
-        return path
+    route = asm._Scheduler._route
 
     def counted_route(self, move):
-        before = len(searches)
+        blocked = any(self.occ[c] for c in move.near_hard)
         path = route(self, move)
-        if len(searches) > before:
-            kind = "corridor" if searches[-1] else "least_bad"
+        if len(path) == 2:
+            kind = "least_bad" if blocked else "straight"
+        elif len(path) == 3 and not any(path[1] is p for p in self.table.points):
+            kind = "detour"
         else:
-            kind = "straight" if len(path) == 2 else "detour"
+            kind = "corridor"
         counts[kind] += 1
         return path
 
-    asm._Scheduler._route, asm._Scheduler._corridor_route = counted_route, counted_corridor
+    asm._Scheduler._route = counted_route
     try:
         yield
     finally:
-        asm._Scheduler._route, asm._Scheduler._corridor_route = route, corridor
+        asm._Scheduler._route = route
 
 
 def route_counts(name: str, corpus: dict, shots: int | None = None) -> dict:
