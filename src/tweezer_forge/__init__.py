@@ -3,7 +3,6 @@ computation, assembly planning and Monte Carlo experiment simulation."""
 
 from .geometry import (
     LayoutError,
-    LayoutLimits,
     PlaneDecomposition,
     SafetyReport,
     TrapLayout,

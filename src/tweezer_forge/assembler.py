@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .geometry import DEFAULT_LIMITS, PlaneDecomposition, TrapLayout, Vec3
+from .geometry import MAX_LATERAL_UM, PlaneDecomposition, TrapLayout, Vec3
 
 
 class PlanInfeasibleError(RuntimeError):
@@ -36,12 +36,7 @@ class PlannerPolicy:
     # other-plane trap sites nearer than this to the MT plane are corridor
     # junctions (always free); occupancy in other planes never affects paths
     z_clearance_um: float = 17.0
-    cost_metric: str = "euclidean"  # or "squared_euclidean"
     eject_margin_um: float = 20.0
-
-    def __post_init__(self):
-        if self.cost_metric not in ("euclidean", "squared_euclidean"):
-            raise ValueError("cost_metric must be 'euclidean' or 'squared_euclidean'")
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def _as_points(points) -> np.ndarray:
     return np.asarray(points, dtype=float)
 
 
-def assignment_min_cost(sources, targets, metric: str = "euclidean") -> np.ndarray:
+def assignment_min_cost(sources, targets) -> np.ndarray:
     """Match each target to a distinct source, minimising total path length.
 
     Sources sitting exactly on a target are matched to themselves first (zero
@@ -134,10 +129,7 @@ def assignment_min_cost(sources, targets, metric: str = "euclidean") -> np.ndarr
     free_tgt = np.nonzero(result < 0)[0]
     free_src = np.nonzero(~taken)[0]
     if free_tgt.size:
-        sub = cost[np.ix_(free_tgt, free_src)]
-        if metric == "squared_euclidean":
-            sub = sub**2
-        cols = solve_assignment(sub)
+        cols = solve_assignment(cost[np.ix_(free_tgt, free_src)])
         result[free_tgt] = free_src[cols]
     return result
 
@@ -266,7 +258,7 @@ class _PlaneTable:
                 cands = (anchors[None, :, None, :]
                          + (offs[:, None, None, None] * np.array([1.0, -1.0])[None, None, :, None])
                          * perp[None, None, None, :]).reshape(-1, 2)
-                cands = cands[np.abs(cands).max(axis=1) <= DEFAULT_LIMITS.max_lateral_um]
+                cands = cands[np.abs(cands).max(axis=1) <= MAX_LATERAL_UM]
             m = cands.shape[0]
             close = self._blockers(np.concatenate([np.repeat(a_xy[None, :], m, 0), cands]),
                                    np.concatenate([cands, np.repeat(b_xy[None, :], m, 0)]))
@@ -295,9 +287,10 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _exits(plane_xy: np.ndarray, margin: float) -> np.ndarray:
     """Eject exit of each of the plane's traps: the nearest point ``margin``
     um outside the convex hull of the traps, clamped into the layout's
-    lateral field of view.  The nearest hull point of a trap is on the first hull edge (in
-    hull order) at the least distance."""
-    fov = DEFAULT_LIMITS.max_lateral_um
+    lateral field of view (``MAX_LATERAL_UM``).  The nearest hull point of
+    a trap is on the first hull edge (in hull order) at the least
+    distance."""
+    fov = MAX_LATERAL_UM
     hull = _convex_hull(plane_xy)
     if hull.shape[0] == 1:
         return np.clip(plane_xy + np.array([margin, 0.0]), -fov, fov)
@@ -524,9 +517,7 @@ def plan_plane(
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     if empty_targets:
-        match = assignment_min_cost(
-            xy[free_sources], xy[empty_targets], metric=policy.cost_metric
-        )
+        match = assignment_min_cost(xy[free_sources], xy[empty_targets])
         for row, tgt in enumerate(empty_targets):
             src = free_sources[match[row]]
             pairs.append((src, tgt))

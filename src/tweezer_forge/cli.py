@@ -9,6 +9,7 @@ infeasibility.  Errors are emitted to stderr as one-line JSON
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -49,47 +50,28 @@ def _write_json(path, doc: dict) -> None:
 # experiment config document
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = {
-    "layout_file": None,
-    "epsilon_z_um": float,
-    "p_load": float,
-    "seed": int,
-    "trigger_timeout_s": float,
-    "loss": {
-        "move_fidelity_eta": float,
-        "lifetime_tau_s": float,
-        "crosstalk_enabled": bool,
-        "mt_power_ratio": float,
-    },
-    "timing": {
-        "image_per_plane_ms": float,
-        "sort_per_plane_ms": float,
-        "exposure_ms": float,
-        "per_move_ms": float,
-        "mot_dispersal_ms": float,
-    },
-    "camera": {
-        "pixel_scale_um": float,
-        "psf_sigma0_um": float,
-        "defocus_rayleigh_um": float,
-        "peak_counts": float,
-        "background_counts": float,
-        "noise": str,
-    },
-    "safety": {"z_safe_um": float, "r_safe_um": float},
-    "planner": {
-        "collision_radius_um": float,
-        "z_clearance_um": float,
-        "cost_metric": str,
-        "eject_margin_um": float,
-    },
+# each section holds the fields of one model; the loss section names the
+# crosstalk model by its switch and calibration power ratio
+_SECTIONS = {
+    "timing": simulator.TimingModel,
+    "camera": simulator.CameraModel,
+    "safety": simulator.SafetyParams,
+    "planner": assembler.PlannerPolicy,
 }
+_LOSS_KEYS = ({f.name for f in dataclasses.fields(physics.LossModel)} - {"crosstalk"}
+              | {"crosstalk_enabled", "mt_power_ratio"})
+_CONFIG_KEYS = {"layout_file", "epsilon_z_um", "p_load", "seed", "trigger_timeout_s",
+                "loss", *_SECTIONS}
 
 
-def _check_keys(doc: dict, allowed: dict, where: str) -> None:
+def _checked(doc, allowed, where: str) -> dict:
+    """``doc`` as a dict, if it is a JSON object with no key outside ``allowed``."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{where} must be a JSON object")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise CliError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    return dict(doc)
 
 
 def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConfig:
@@ -97,11 +79,15 @@ def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConf
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError("config document must be a JSON object")
-    _check_keys(doc, _CONFIG_SECTIONS, "config")
-    if "layout_file" not in doc:
-        raise CliError('config requires a "layout_file" key')
+    doc = _checked(doc, _CONFIG_KEYS, "config")
+    sections = {
+        name: _checked(doc.get(name, {}), [f.name for f in dataclasses.fields(model)],
+                       f"config.{name}")
+        for name, model in _SECTIONS.items()
+    }
+    loss_doc = _checked(doc.get("loss", {}), _LOSS_KEYS, "config.loss")
+    if not isinstance(doc.get("layout_file"), str):
+        raise CliError('config requires a "layout_file" string')
     layout_path = Path(doc["layout_file"])
     if not layout_path.is_absolute():
         layout_path = Path(path).parent / layout_path
@@ -110,32 +96,21 @@ def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConf
     except geometry.LayoutError as exc:
         raise CliError(f"invalid layout: {exc}") from exc
 
-    def section(name, builder):
-        sub = doc.get(name, {})
-        _check_keys(sub, _CONFIG_SECTIONS[name], f"config.{name}")
-        return builder(**sub)
-
-    loss_doc = dict(doc.get("loss", {}))
-    _check_keys(loss_doc, _CONFIG_SECTIONS["loss"], "config.loss")
-    crosstalk_enabled = loss_doc.pop("crosstalk_enabled", True)
-    power_ratio = loss_doc.pop("mt_power_ratio", 3.0)
-    crosstalk = physics.default_mt_params(power_ratio) if crosstalk_enabled else None
-    loss = physics.LossModel(crosstalk=crosstalk, **loss_doc)
-
     try:
+        crosstalk_enabled = loss_doc.pop("crosstalk_enabled", True)
+        power_ratio = loss_doc.pop("mt_power_ratio", 3.0)
+        crosstalk = physics.default_mt_params(power_ratio) if crosstalk_enabled else None
         return simulator.make_config(
             layout,
             epsilon_z=doc.get("epsilon_z_um", 1.0),
             p_load=doc.get("p_load", 0.5),
-            loss=loss,
-            timing=section("timing", simulator.TimingModel),
-            camera=section("camera", simulator.CameraModel),
-            safety=section("safety", simulator.SafetyParams),
-            planner=section("planner", assembler.PlannerPolicy),
+            loss=physics.LossModel(crosstalk=crosstalk, **loss_doc),
             trigger_timeout_s=doc.get("trigger_timeout_s", 10.0),
             seed=seed_override if seed_override is not None else doc.get("seed", 0),
+            **{name: model(**sections[name]) for name, model in _SECTIONS.items()},
         )
-    except (ValueError, geometry.DecompositionError) as exc:
+    except (TypeError, ValueError, geometry.DecompositionError) as exc:
+        # a value of the wrong type fails in its model's checks
         raise CliError(str(exc)) from exc
 
 
@@ -251,6 +226,8 @@ def _cmd_simulate_loading(args) -> int:
 def _cmd_plan_assembly(args) -> int:
     layout = geometry.load_layout(args.layout)
     occ_doc = json.loads(Path(args.occupancy).read_text())
+    if not isinstance(occ_doc, dict) or "occupied" not in occ_doc:
+        raise CliError('occupancy document must be a JSON object with an "occupied" list')
     occ = assembler.as_occupancy(occ_doc["occupied"], len(layout.traps))
     decomp = geometry.decompose_planes(layout, args.epsilon_z)
     try:

@@ -46,20 +46,17 @@ class TrapSite:
     is_target: bool = True
 
 
-@dataclass(frozen=True)
-class LayoutLimits:
-    """Field-of-view and density limits a layout must satisfy.
+# field-of-view and density limits every layout must satisfy; larger
+# lattices than MAX_TRAPS sites are out of scope
+MAX_TRAPS = 200
+MIN_PAIR_DISTANCE_UM = 3.0
+MAX_LATERAL_UM = 50.0
+MAX_AXIAL_UM = 100.0
 
-    ``max_traps`` is capped at 200 sites; larger lattices are out of scope.
-    """
-
-    max_traps: int = 200
-    min_pair_distance_um: float = 3.0
-    max_lateral_um: float = 50.0
-    max_axial_um: float = 100.0
-
-
-DEFAULT_LIMITS = LayoutLimits()
+RESERVOIR_FACTOR = 2.0  # sites per target in each plane after add_reservoir
+RESERVOIR_GAP_UM = 5.0  # ring-to-pattern and ring-to-ring spacing
+MAX_ROTATION_DEG = 45.0
+ROTATION_STEP_DEG = 0.5
 
 
 @dataclass(frozen=True)
@@ -147,30 +144,30 @@ class RotationFix:
     angle_deg: float
 
 
-def validate_layout(layout: TrapLayout, limits: LayoutLimits = DEFAULT_LIMITS) -> TrapLayout:
+def validate_layout(layout: TrapLayout) -> TrapLayout:
     """Enforce the layout invariants, returning the layout unchanged."""
     n = len(layout.traps)
-    if n > limits.max_traps:
-        raise LayoutError(f"{n} traps exceeds the {limits.max_traps}-trap limit")
+    if n > MAX_TRAPS:
+        raise LayoutError(f"{n} traps exceeds the {MAX_TRAPS}-trap limit")
     pos = layout.positions()
     lat = np.max(np.abs(pos[:, :2]))
     ax = np.max(np.abs(pos[:, 2]))
-    if lat > limits.max_lateral_um + 1e-9 or ax > limits.max_axial_um + 1e-9:
+    if lat > MAX_LATERAL_UM + 1e-9 or ax > MAX_AXIAL_UM + 1e-9:
         raise LayoutError(
             f"layout exceeds the field of view "
-            f"(|x|,|y| <= {limits.max_lateral_um} um, |z| <= {limits.max_axial_um} um)"
+            f"(|x|,|y| <= {MAX_LATERAL_UM} um, |z| <= {MAX_AXIAL_UM} um)"
         )
     if n > 1:
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         iu = np.triu_indices(n, k=1)
-        bad = dist[iu] < limits.min_pair_distance_um - 1e-9
+        bad = dist[iu] < MIN_PAIR_DISTANCE_UM - 1e-9
         if np.any(bad):
             i = int(iu[0][np.argmax(bad)])
             j = int(iu[1][np.argmax(bad)])
             raise LayoutError(
                 f"traps {i} and {j} are {dist[i, j]:.3f} um apart "
-                f"(minimum {limits.min_pair_distance_um} um)"
+                f"(minimum {MIN_PAIR_DISTANCE_UM} um)"
             )
     return layout
 
@@ -179,14 +176,14 @@ def _centered(points: np.ndarray) -> np.ndarray:
     return points - points.mean(axis=0)
 
 
-def _layout_from_points(points, name, is_target=None, limits=DEFAULT_LIMITS) -> TrapLayout:
+def _layout_from_points(points, name, is_target=None) -> TrapLayout:
     if is_target is None:
         is_target = [True] * len(points)
     traps = tuple(
         TrapSite(Vec3(float(p[0]), float(p[1]), float(p[2])), is_target=bool(t))
         for p, t in zip(points, is_target)
     )
-    return validate_layout(TrapLayout(traps, name=name), limits)
+    return validate_layout(TrapLayout(traps, name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +283,13 @@ def generate_preset(
     preset: str,
     *,
     reservoir: bool = False,
-    reservoir_factor: float = 2.0,
     epsilon_z: float = 1.0,
-    limits: LayoutLimits = DEFAULT_LIMITS,
     **params,
 ) -> TrapLayout:
     """Build one of the named deterministic layouts, centred on the origin.
 
-    With ``reservoir=True``, peripheral reservoir sites are added per plane
-    until each plane holds at least ``reservoir_factor`` times its target
-    count (the extra sites are ``is_target=False``).
+    With ``reservoir=True``, ``add_reservoir`` adds peripheral sites
+    (``is_target=False``) to the planes ``epsilon_z`` clusters.
     """
     if preset not in _PRESETS:
         raise LayoutError(f"unknown preset {preset!r} (choose from {', '.join(PRESET_NAMES)})")
@@ -309,29 +303,22 @@ def generate_preset(
             if any(int(v) < 1 for v in vals):
                 raise LayoutError(f"preset parameter {key!r} must be >= 1")
     points = _PRESETS[preset](**params)
-    layout = _layout_from_points(points, name=preset, limits=limits)
+    layout = _layout_from_points(points, name=preset)
     if reservoir:
-        layout = add_reservoir(
-            layout, factor=reservoir_factor, epsilon_z=epsilon_z, limits=limits
-        )
+        layout = add_reservoir(layout, epsilon_z)
     return layout
 
 
-def add_reservoir(
-    layout: TrapLayout,
-    factor: float = 2.0,
-    epsilon_z: float = 1.0,
-    gap_um: float = 5.0,
-    limits: LayoutLimits = DEFAULT_LIMITS,
-) -> TrapLayout:
-    """Add peripheral reservoir sites so each plane holds >= factor x targets.
+def add_reservoir(layout: TrapLayout, epsilon_z: float = 1.0) -> TrapLayout:
+    """Add peripheral reservoir sites so each plane holds at least
+    ``RESERVOIR_FACTOR`` x its targets.
 
     Each plane's reservoir sits on a ring in that plane, concentric around the
-    layout's lateral centroid.  Ring radii step outward by ``gap_um`` per
-    plane and ring sites keep a ``gap_um`` chord spacing, so every reservoir
-    site stays at least ``gap_um`` laterally away from all pattern sites and
-    the corridors between ring sites stay wide enough for the moving
-    tweezers.
+    layout's lateral centroid.  Ring radii step outward by
+    ``RESERVOIR_GAP_UM`` per plane and ring sites keep a ``RESERVOIR_GAP_UM``
+    chord spacing, so every reservoir site stays at least that far laterally
+    from all pattern sites and the corridors between ring sites stay wide
+    enough for the moving tweezers.
     """
     decomp = decompose_planes(layout, epsilon_z)
     pos = layout.positions()
@@ -341,16 +328,16 @@ def add_reservoir(
     for plane in decomp.planes:
         idx = list(plane.indices)
         n_targets = sum(1 for i in idx if layout.traps[i].is_target)
-        needed.append(max(0, math.ceil(factor * n_targets) - len(idx)))
-    base = r_all + gap_um
+        needed.append(max(0, math.ceil(RESERVOIR_FACTOR * n_targets) - len(idx)))
+    base = r_all + RESERVOIR_GAP_UM
     if any(needed):
         # chord spacing (not arc) so inter-site corridors keep full width
-        base = max(base, gap_um / (2.0 * math.sin(math.pi / max(needed))))
+        base = max(base, RESERVOIR_GAP_UM / (2.0 * math.sin(math.pi / max(needed))))
     new_sites: list[TrapSite] = list(layout.traps)
     for p, plane in enumerate(decomp.planes):
         if needed[p] == 0:
             continue
-        radius = base + p * gap_um
+        radius = base + p * RESERVOIR_GAP_UM
         offset = 0.37 * p  # angular stagger between planes, radians
         for i in range(needed[p]):
             t = 2.0 * math.pi * i / needed[p] + offset
@@ -364,7 +351,7 @@ def add_reservoir(
                     is_target=False,
                 )
             )
-    return validate_layout(TrapLayout(tuple(new_sites), name=layout.name), limits)
+    return validate_layout(TrapLayout(tuple(new_sites), name=layout.name))
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +361,20 @@ def add_reservoir(
 _TRAP_KEYS = {"x_um", "y_um", "z_um", "is_target"}
 
 
-def load_layout(path, limits: LayoutLimits = DEFAULT_LIMITS) -> TrapLayout:
+def load_layout(path) -> TrapLayout:
     """Read a layout JSON file; plane indices are never read from disk."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise LayoutError(f"cannot parse {path}: {exc}") from exc
-    return layout_from_dict(doc, limits=limits)
+    return layout_from_dict(doc)
 
 
-def layout_from_dict(doc: dict, limits: LayoutLimits = DEFAULT_LIMITS) -> TrapLayout:
+def layout_from_dict(doc: dict) -> TrapLayout:
     if not isinstance(doc, dict) or set(doc) != {"name", "traps"}:
         raise LayoutError('layout document must have exactly the keys "name" and "traps"')
+    if not isinstance(doc["traps"], list):
+        raise LayoutError('layout "traps" must be a list')
     traps = []
     for i, entry in enumerate(doc["traps"]):
         if not isinstance(entry, dict) or set(entry) != _TRAP_KEYS:
@@ -396,7 +385,7 @@ def layout_from_dict(doc: dict, limits: LayoutLimits = DEFAULT_LIMITS) -> TrapLa
                 is_target=bool(entry["is_target"]),
             )
         )
-    return validate_layout(TrapLayout(tuple(traps), name=str(doc["name"])), limits)
+    return validate_layout(TrapLayout(tuple(traps), name=str(doc["name"])))
 
 
 def layout_to_dict(layout: TrapLayout) -> dict:
@@ -481,16 +470,11 @@ def validate_mt_safety(
     return SafetyReport(conflicts=conflicts)
 
 
-def rotate_layout(
-    layout: TrapLayout,
-    axis: str,
-    angle_deg: float,
-    limits: LayoutLimits = DEFAULT_LIMITS,
-) -> TrapLayout:
+def rotate_layout(layout: TrapLayout, axis: str, angle_deg: float) -> TrapLayout:
     """Rigidly rotate the layout about the x or y axis through its centroid."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    if abs(angle_deg) > 45.0:
+    if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError("|angle| must be <= 45 degrees")
     pos = layout.positions()
     centroid = pos.mean(axis=0)
@@ -508,38 +492,33 @@ def rotate_layout(
         )
         for p, t in zip(new_pos, layout.traps)
     )
-    return validate_layout(TrapLayout(traps, name=layout.name), limits)
+    return validate_layout(TrapLayout(traps, name=layout.name))
 
 
 def suggest_rotation(
     layout: TrapLayout,
     z_safe: float = 17.0,
     r_safe: float = 3.0,
-    max_angle_deg: float = 45.0,
-    step_deg: float = 0.5,
     decomposition: Optional[PlaneDecomposition] = None,
-    epsilon_z: float = 1.0,
-    limits: LayoutLimits = DEFAULT_LIMITS,
 ) -> Optional[RotationFix]:
     """Smallest-magnitude global rotation that clears all MT safety conflicts.
 
-    Plane membership is held fixed while candidate rotations are scanned in
-    ``step_deg`` increments (x before y, positive before negative at each
-    magnitude).  Returns None when no angle within ``max_angle_deg`` passes.
+    Plane membership (``decomposition``, by default 1 um clustering) is held
+    fixed while candidate rotations are scanned in ``ROTATION_STEP_DEG``
+    increments (x before y, positive before negative at each magnitude).
+    Returns None when no angle within ``MAX_ROTATION_DEG`` passes.
     """
-    if max_angle_deg > 45.0:
-        raise ValueError("max_angle_deg must be <= 45")
     if decomposition is None:
-        decomposition = decompose_planes(layout, epsilon_z)
-    n_steps = int(round(max_angle_deg / step_deg))
+        decomposition = decompose_planes(layout)
+    n_steps = int(round(MAX_ROTATION_DEG / ROTATION_STEP_DEG))
     for k in range(n_steps + 1):
-        magnitude = k * step_deg
+        magnitude = k * ROTATION_STEP_DEG
         signs = (1.0,) if k == 0 else (1.0, -1.0)
         for axis in ("x", "y"):
             for sign in signs:
                 angle = sign * magnitude
                 try:
-                    candidate = rotate_layout(layout, axis, angle, limits)
+                    candidate = rotate_layout(layout, axis, angle)
                 except LayoutError:
                     continue
                 if validate_mt_safety(candidate, decomposition, z_safe, r_safe).passed:

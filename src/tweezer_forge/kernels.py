@@ -119,14 +119,18 @@ def segment_point_distances(points, seg_a, seg_b):
     return np.sqrt(np.einsum("psk,psk->ps", closest, closest))
 
 
-def spot_factors(px, py, sigmas, h, w, cutoff=4.0):
+SPOT_CUTOFF_SIGMAS = 4.0
+
+
+def spot_factors(px, py, sigmas, h, w):
     """Row and column factors of 2D Gaussians (in pixel units) on an (h, w)
     grid: gy (n, h) and gx (n, w), with spot m equal to
     ``outer(gy[m], gx[m])``.  Each factor is zero outside the pixels
-    ``floor(c - cutoff*sigma) .. floor(c + cutoff*sigma)`` of its centre c,
-    so a spot wholly outside the image has zero factors."""
+    ``floor(c - k*sigma) .. floor(c + k*sigma)`` of its centre c, with
+    k = ``SPOT_CUTOFF_SIGMAS``, so a spot wholly outside the image has zero
+    factors."""
     px, py, sigmas = (np.asarray(a, dtype=np.float64)[:, None] for a in (px, py, sigmas))
-    r = cutoff * sigmas
+    r = SPOT_CUTOFF_SIGMAS * sigmas
     two_s2 = 2.0 * sigmas * sigmas
 
     def axis(c, size):
@@ -137,8 +141,8 @@ def spot_factors(px, py, sigmas, h, w, cutoff=4.0):
     return axis(py, h), axis(px, w)
 
 
-def render_spots(image, px, py, amps, sigmas, cutoff=4.0):
+def render_spots(image, px, py, amps, sigmas):
     """Accumulate 2D Gaussians (in pixel units) onto ``image`` in place."""
-    gy, gx = spot_factors(px, py, sigmas, *image.shape, cutoff=cutoff)
+    gy, gx = spot_factors(px, py, sigmas, *image.shape)
     image += (gy * amps[:, None]).T @ gx
     return image

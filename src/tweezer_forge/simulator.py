@@ -26,17 +26,14 @@ from .physics import LossModel, default_loss_model, mt_pass_loss
 class TimingModel:
     image_per_plane_ms: float = 60.0
     sort_per_plane_ms: float = 50.0
-    exposure_ms: float = 50.0
     per_move_ms: float = 1.0
     mot_dispersal_ms: float = 100.0
 
     def __post_init__(self):
-        for name in ("image_per_plane_ms", "sort_per_plane_ms", "exposure_ms",
-                     "per_move_ms", "mot_dispersal_ms"):
+        for name in ("image_per_plane_ms", "sort_per_plane_ms", "per_move_ms",
+                     "mot_dispersal_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.exposure_ms > self.image_per_plane_ms:
-            raise ValueError("exposure cannot exceed the per-plane imaging slot")
 
 
 @dataclass(frozen=True)
@@ -493,7 +490,6 @@ def detect_occupancy(
     layout: TrapLayout,
     decomp: PlaneDecomposition,
     camera: CameraModel,
-    threshold_policy="midpoint",
 ) -> np.ndarray:
     """Decide per-trap occupancy from per-plane in-focus images.
 
@@ -502,20 +498,13 @@ def detect_occupancy(
     every trap's spot, in focus or defocused as
     ``synthesize_fluorescence_stack`` renders it, and the amplitudes are
     its unweighted least-squares solution.  A trap is occupied when its
-    amplitude exceeds the threshold fraction of one atom (0.5 for
-    "midpoint").  The model and its inverse Gram matrix depend only on
+    amplitude exceeds half an atom.  The model and its inverse Gram matrix depend only on
     (layout, camera, plane z list) and are cached.
     """
     if len(stack) != decomp.n_planes:
         raise ValueError(f"stack must hold one image per plane ({decomp.n_planes})")
     if camera.peak_counts <= camera.background_counts:
         raise ValueError("ambiguous calibration: background >= single-atom signal")
-    if threshold_policy == "midpoint":
-        frac = 0.5
-    else:
-        frac = float(threshold_policy)
-        if not (0.0 < frac < 1.0):
-            raise ValueError("threshold fraction must be in (0, 1)")
     rows, cols, gram_inv = _fit_model(layout, camera, tuple(plane_stack_z(decomp)))
     shape = (rows.shape[2], cols.shape[2])
     for img in stack:
@@ -526,4 +515,4 @@ def detect_occupancy(
             )
     resid = np.stack([img.pixels for img in stack]) - camera.background_counts
     rhs = np.einsum("knw,knw->n", rows @ resid, cols)
-    return gram_inv @ rhs > frac
+    return gram_inv @ rhs > 0.5

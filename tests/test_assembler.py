@@ -102,12 +102,12 @@ class TestSchedule:
         assert pairs_of(moves) == [(0, 1), (2, 3), (4, 5)]
 
     def test_blocked_path_defers_until_vacated(self):
-        # 1 sits on the straight path 0 -> 2; 1 moves away first.  On a line
-        # the crossing matching 0 -> 3, 1 -> 2 is as long, so the squared
-        # cost picks 0 -> 2, 1 -> 3
-        lay = line_layout(4, targets=[False, False, True, True])
+        # 1 sits 1 um off the straight path 0 -> 2; 1 moves away first.  The
+        # matching 0 -> 2, 1 -> 3 (20.05 um) is shorter than the crossing
+        # 0 -> 3, 1 -> 2 (20.23 um)
+        lay = point_layout([(-6, 0, 0), (-1, 1, 0), (4, 0, 0), (9, 2, 0)], targets=(2, 3))
         occ = np.array([True, True, False, False])
-        moves = plane_moves(occ, lay, asm.PlannerPolicy(cost_metric="squared_euclidean"))
+        moves = plane_moves(occ, lay)
         order = pairs_of(moves)
         assert sorted(order) == [(0, 2), (1, 3)]
         assert order.index((1, 3)) < order.index((0, 2))
@@ -299,9 +299,8 @@ class TestPlanProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["grid", "line"]), seed=st.integers(0, 2**32 - 1),
-           pitch=st.floats(2.5, 6.0),
-           metric=st.sampled_from(["euclidean", "squared_euclidean"]))
-    def test_plan_plane_invariants_random_layouts(self, kind, seed, pitch, metric):
+           pitch=st.floats(2.5, 6.0))
+    def test_plan_plane_invariants_random_layouts(self, kind, seed, pitch):
         """``check_plan_plane`` on a jittered grid or line with random
         targets and enough atoms: unlike the configs, such layouts defer
         moves, and sometimes every pending move is blocked."""
@@ -318,8 +317,7 @@ class TestPlanProperties:
         lay = point_layout([(x, y, 0.0) for x, y in xy], targets=set(targets.tolist()))
         occ = np.zeros(n, dtype=bool)
         occ[rng.choice(n, size=rng.integers(targets.size, n + 1), replace=False)] = True
-        check_plan_plane(occ, lay, geo.decompose_planes(lay, 1.0), 0,
-                         asm.PlannerPolicy(cost_metric=metric))
+        check_plan_plane(occ, lay, geo.decompose_planes(lay, 1.0), 0, asm.PlannerPolicy())
 
 
 class TestPlaneTable:

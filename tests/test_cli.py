@@ -15,6 +15,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_invalid_input(code, stderr):
+    """Exit 2 with one JSON line ``{"error": 2, "detail": ...}`` on stderr."""
+    assert code == 2
+    assert stderr.endswith("\n") and "\n" not in stderr[:-1]
+    err = json.loads(stderr)
+    assert err["error"] == 2 and err["detail"]
+
+
 def write_bilayer_config(tmp_path, layout_name="bilayer.json", **extra):
     code = cli.main([
         "gen-geometry", "--preset", "bilayer_square_offset",
@@ -65,6 +73,15 @@ class TestGenGeometry:
         err = json.loads(stderr.strip())
         assert err["error"] == 2 and "detail" in err
         assert "\n" not in stderr.strip()
+
+    def test_layout_traps_not_a_list_exits_2(self, tmp_path, capsys):
+        # every subcommand reads its layout through the same loader
+        lay_path = tmp_path / "lay.json"
+        lay_path.write_text(json.dumps({"name": "bad", "traps": 5}))
+        code, _, stderr = run(capsys, "gen-geometry", "--import", str(lay_path),
+                              "-o", str(tmp_path / "out.json"))
+        assert_invalid_input(code, stderr)
+        assert "traps" in json.loads(stderr)["detail"]
 
     def test_rotate_fix(self, tmp_path, capsys):
         # axially aligned bilayer needs a rotation at dz = 5
@@ -214,6 +231,20 @@ class TestPlanAssembly:
         assert code == 3
         assert json.loads(stderr.strip())["error"] == 3
 
+    @pytest.mark.parametrize("occ_doc", [{"layout": "cubic"}, [True] * 9],
+                             ids=["no_occupied_key", "json_list"])
+    def test_malformed_occupancy_exits_2(self, tmp_path, capsys, occ_doc):
+        lay_path = tmp_path / "lay.json"
+        cli.main(["gen-geometry", "--preset", "cubic", "--n", "3", "3", "1",
+                  "--spacing", "8", "8", "17", "-o", str(lay_path)])
+        capsys.readouterr()
+        occ_path = tmp_path / "occ.json"
+        occ_path.write_text(json.dumps(occ_doc))
+        code, _, stderr = run(capsys, "plan-assembly", "--layout", str(lay_path),
+                              "--occupancy", str(occ_path), "-o", str(tmp_path / "p.json"))
+        assert_invalid_input(code, stderr)
+        assert "occupied" in json.loads(stderr)["detail"]
+
 
 class TestRunExperiment:
     def test_lossless_defect_free(self, tmp_path, capsys):
@@ -252,12 +283,32 @@ class TestRunExperiment:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = write_bilayer_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["surprise"] = 1
-        cfg.write_text(json.dumps(doc))
+        clean = json.loads(cfg.read_text())
+        # the last two name fields the models no longer have
+        for section, key in [(None, "surprise"), ("planner", "cost_metric"),
+                             ("timing", "exposure_ms")]:
+            doc = json.loads(json.dumps(clean))
+            (doc if section is None else doc.setdefault(section, {}))[key] = 1
+            cfg.write_text(json.dumps(doc))
+            code, _, stderr = run(capsys, "run-experiment", str(cfg),
+                                  "-o", str(tmp_path / "s.csv"))
+            assert code == 2
+            assert key in json.loads(stderr.strip())["detail"]
+
+    @pytest.mark.parametrize("section, value", [("timing", 5), ("loss", [1.0])],
+                             ids=["timing_number", "loss_list"])
+    def test_section_not_an_object_exits_2(self, tmp_path, capsys, section, value):
+        cfg = write_bilayer_config(tmp_path, **{section: value})
         code, _, stderr = run(capsys, "run-experiment", str(cfg), "-o", str(tmp_path / "s.csv"))
-        assert code == 2
-        assert "surprise" in json.loads(stderr.strip())["detail"]
+        assert_invalid_input(code, stderr)
+        assert f"config.{section}" in json.loads(stderr)["detail"]
+
+    @pytest.mark.parametrize("extra", [{"layout_file": 5}, {"timing": {"per_move_ms": "fast"}}],
+                             ids=["layout_file_number", "timing_value_string"])
+    def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, extra):
+        cfg = write_bilayer_config(tmp_path, **extra)
+        code, _, stderr = run(capsys, "run-experiment", str(cfg), "-o", str(tmp_path / "s.csv"))
+        assert_invalid_input(code, stderr)
 
 
 class TestRecaptureCurve:
