@@ -379,12 +379,11 @@ def layout_from_dict(doc: dict) -> TrapLayout:
     for i, entry in enumerate(doc["traps"]):
         if not isinstance(entry, dict) or set(entry) != _TRAP_KEYS:
             raise LayoutError(f"trap {i} must have exactly the keys {sorted(_TRAP_KEYS)}")
-        traps.append(
-            TrapSite(
-                Vec3(float(entry["x_um"]), float(entry["y_um"]), float(entry["z_um"])),
-                is_target=bool(entry["is_target"]),
-            )
-        )
+        try:
+            x, y, z = (float(entry[k]) for k in ("x_um", "y_um", "z_um"))
+        except (TypeError, ValueError) as exc:
+            raise LayoutError(f"trap {i} coordinates must be numbers ({exc})") from exc
+        traps.append(TrapSite(Vec3(x, y, z), is_target=bool(entry["is_target"])))
     return validate_layout(TrapLayout(tuple(traps), name=str(doc["name"])))
 
 

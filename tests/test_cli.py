@@ -74,14 +74,17 @@ class TestGenGeometry:
         assert err["error"] == 2 and "detail" in err
         assert "\n" not in stderr.strip()
 
-    def test_layout_traps_not_a_list_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("traps", [
+        5, [{"x_um": None, "y_um": 0.0, "z_um": 0.0, "is_target": True}],
+    ], ids=["traps_number", "coordinate_null"])
+    def test_malformed_layout_exits_2(self, tmp_path, capsys, traps):
         # every subcommand reads its layout through the same loader
         lay_path = tmp_path / "lay.json"
-        lay_path.write_text(json.dumps({"name": "bad", "traps": 5}))
+        lay_path.write_text(json.dumps({"name": "bad", "traps": traps}))
         code, _, stderr = run(capsys, "gen-geometry", "--import", str(lay_path),
                               "-o", str(tmp_path / "out.json"))
         assert_invalid_input(code, stderr)
-        assert "traps" in json.loads(stderr)["detail"]
+        assert "trap" in json.loads(stderr)["detail"]
 
     def test_rotate_fix(self, tmp_path, capsys):
         # axially aligned bilayer needs a rotation at dz = 5
