@@ -35,7 +35,6 @@ from .hologram import (
 from .physics import (
     LossModel,
     MtParams,
-    TrapPhysics,
     calibrate_crosstalk,
     default_loss_model,
     default_mt_params,

@@ -95,6 +95,9 @@ def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConf
         layout = geometry.load_layout(layout_path)
     except geometry.LayoutError as exc:
         raise CliError(f"invalid layout: {exc}") from exc
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise CliError(f"seed must be a nonnegative integer, got {seed!r}")
 
     try:
         crosstalk_enabled = loss_doc.pop("crosstalk_enabled", True)
@@ -106,7 +109,7 @@ def load_experiment_config(path, seed_override=None) -> simulator.ExperimentConf
             p_load=doc.get("p_load", 0.5),
             loss=physics.LossModel(crosstalk=crosstalk, **loss_doc),
             trigger_timeout_s=doc.get("trigger_timeout_s", 10.0),
-            seed=seed_override if seed_override is not None else doc.get("seed", 0),
+            seed=seed,
             **{name: model(**sections[name]) for name, model in _SECTIONS.items()},
         )
     except (TypeError, ValueError, geometry.DecompositionError) as exc:
@@ -396,11 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="decode occupancy from stack images")
     d.add_argument("--layout", required=True)
     d.add_argument("--epsilon-z", type=float, default=1.0)
-    d.add_argument("--pixel-scale", type=float, default=1.0)
-    d.add_argument("--psf-sigma", type=float, default=1.0)
-    d.add_argument("--defocus-rayleigh", type=float, default=5.0)
-    d.add_argument("--peak", type=float, default=200.0)
-    d.add_argument("--background", type=float, default=10.0)
+    camera = simulator.CameraModel
+    d.add_argument("--pixel-scale", type=float, default=camera.pixel_scale_um)
+    d.add_argument("--psf-sigma", type=float, default=camera.psf_sigma0_um)
+    d.add_argument("--defocus-rayleigh", type=float, default=camera.defocus_rayleigh_um)
+    d.add_argument("--peak", type=float, default=camera.peak_counts)
+    d.add_argument("--background", type=float, default=camera.background_counts)
     d.add_argument("images", nargs="+", help="one PGM per plane, ascending z")
     d.add_argument("-o", "--output", required=True)
     d.set_defaults(func=_cmd_detect)

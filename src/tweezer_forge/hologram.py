@@ -71,7 +71,6 @@ class SlmConfig:
 class WgsConfig:
     max_iters: int = 100
     target_rms: float = 0.05
-    weight_gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -287,7 +286,7 @@ def _run_wgs(
         if rms <= wgs.target_rms:
             converged = True
             break
-        weights = weights * (np.mean(rel) / rel) ** wgs.weight_gain
+        weights = weights * (np.mean(rel) / rel)
         weights = weights / weights.mean()
         coeff = weights * targets * v / np.maximum(mag, 1e-300)
         u = _unit_phasor(kernels.back_field(coeff, ux, ix, uy, iy))
@@ -352,7 +351,7 @@ def closed_loop_refine(
     model_in = np.abs(trap_amplitudes(mask, layout, slm)) ** 2
     gain = (measured / measured.mean()) / (model_in / model_in.mean())
     # amplitude targets from the intensity imbalance
-    target_amps = (measured.mean() / measured) ** (wgs.weight_gain / 2.0)
+    target_amps = np.sqrt(measured.mean() / measured)
 
     traps = layout.positions()
     phases, rep = _run_wgs(traps, slm, wgs, target_amps=target_amps)

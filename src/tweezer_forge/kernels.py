@@ -26,7 +26,10 @@ no cache behind to raise the memory peak of the work that follows.
 
 A fluorescence spot is separable too: ``spot_factors`` gives each spot's
 windowed row and column Gaussians, and an image is the background plus
-``(gy * amps[:, None]).T @ gx``, which ``render_spots`` accumulates.
+``(gy * amps[:, None]).T @ gx``.  The simulator renders z-stacks from these
+factors, built once per (layout, camera, z list).  ``render_spots`` adds the
+same product onto one image; it is the reference the simulator's renders
+are tested against bit for bit, and the name ``bench/spans.py`` traces.
 """
 
 from __future__ import annotations

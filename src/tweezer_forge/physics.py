@@ -18,6 +18,10 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 RB87_MASS_KG = 1.443e-25
 DEFAULT_WAVELENGTH_UM = 0.85
 
+# Depth calibration anchor: 3.5 mW per trap makes a 1 mK trap.
+ANCHOR_POWER_MW = 3.5
+ANCHOR_DEPTH_MK = 1.0
+
 # Axial distances at which a moving-tweezers pass leaves atoms undisturbed
 # (1% loss): full power and reduced power.
 FULL_POWER_SAFE_DZ_UM = 17.0
@@ -36,30 +40,6 @@ def rayleigh_length(w0_um: float, wavelength_um: float = DEFAULT_WAVELENGTH_UM) 
     if w0_um <= 0 or wavelength_um <= 0:
         raise ValueError("waist and wavelength must be positive")
     return math.pi * w0_um * w0_um / wavelength_um
-
-
-@dataclass(frozen=True)
-class TrapPhysics:
-    power_per_trap_mw: float = 3.5
-    depth_mk: float = 1.0
-    waist_w0_um: float = 1.1
-    rayleigh_z_um: float = rayleigh_length(1.1)
-    atom_mass_kg: float = RB87_MASS_KG
-    atom_temperature_uk: float = 25.0
-    lifetime_tau_s: float = 10.0
-
-    def __post_init__(self):
-        for name in (
-            "power_per_trap_mw",
-            "depth_mk",
-            "waist_w0_um",
-            "rayleigh_z_um",
-            "atom_mass_kg",
-            "atom_temperature_uk",
-            "lifetime_tau_s",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,11 +77,11 @@ def reduced_power_ratio(mt: MtParams) -> float:
     return (1.0 + REDUCED_POWER_SAFE_DZ_UM**2 / zr2) / (1.0 + FULL_POWER_SAFE_DZ_UM**2 / zr2)
 
 
-def trap_depth(power_mw: float, physics: TrapPhysics = TrapPhysics()) -> float:
+def trap_depth(power_mw: float) -> float:
     """Trap depth in mK; linear in power through the calibration anchor."""
     if power_mw < 0:
         raise ValueError("power must be >= 0")
-    return power_mw * physics.depth_mk / physics.power_per_trap_mw
+    return power_mw * ANCHOR_DEPTH_MK / ANCHOR_POWER_MW
 
 
 def trap_frequencies(

@@ -410,22 +410,6 @@ def camera_grid(layout: TrapLayout, camera: CameraModel):
     return x0, y0, width, height
 
 
-def _trap_pixels(layout: TrapLayout, camera: CameraModel):
-    """Trap positions (n, 3), their pixel coordinates px, py, and the image
-    height and width on the camera grid."""
-    pos = layout.positions()
-    x0, y0, width, height = camera_grid(layout, camera)
-    scale = camera.pixel_scale_um
-    return pos, (pos[:, 0] - x0) / scale, (pos[:, 1] - y0) / scale, height, width
-
-
-def _defocused_spots(dz, camera: CameraModel):
-    """Peak counts and width (pixels) of a spot ``dz`` um out of focus."""
-    defocus = 1.0 + (dz / camera.defocus_rayleigh_um) ** 2
-    sigmas = camera.psf_sigma0_um * np.sqrt(defocus) / camera.pixel_scale_um
-    return camera.peak_counts / defocus, sigmas
-
-
 def synthesize_fluorescence_stack(
     occupancy,
     layout: TrapLayout,
@@ -435,22 +419,19 @@ def synthesize_fluorescence_stack(
 ) -> list[Image2D]:
     """Render one fluorescence image per requested focus z.
 
-    Each occupied trap becomes a 2D Gaussian whose width grows and amplitude
-    shrinks with defocus; Poisson noise is applied when the camera model asks
-    for it (an rng is then required).
+    Each occupied trap adds its spot from ``_spot_model``, wider and dimmer
+    with defocus; Poisson noise is applied when the camera model asks for it
+    (an rng is then required).
     """
     if len(z_list) == 0:
         raise ValueError("z_list must not be empty")
     occ = assembler.as_occupancy(occupancy, len(layout.traps))
     if camera.noise == "poisson" and rng is None:
         raise ValueError("poisson noise requires an rng")
-    pos, px, py, height, width = _trap_pixels(layout, camera)
-    pos, px, py = pos[occ], px[occ], py[occ]
+    rows, cols = _spot_model(layout, camera, tuple(z_list))
     images = []
-    for z_img in z_list:
-        img = np.full((height, width), float(camera.background_counts))
-        amps, sigmas = _defocused_spots(pos[:, 2] - z_img, camera)
-        kernels.render_spots(img, px, py, amps, sigmas)
+    for k in range(len(z_list)):
+        img = camera.background_counts + rows[k, occ].T @ cols[k, occ]
         if camera.noise == "poisson":
             img = rng.poisson(img).astype(float)
         images.append(Image2D(img))
@@ -463,23 +444,37 @@ def plane_stack_z(decomp: PlaneDecomposition) -> list[float]:
 
 
 @lru_cache(maxsize=16)
+def _spot_model(layout: TrapLayout, camera: CameraModel, z_list: tuple[float, ...]):
+    """Every trap's spot in each image of a z-stack: ``rows`` (K, n, h), the
+    row factors scaled by each spot's peak counts, and ``cols`` (K, n, w),
+    the column factors, so trap i's spot in image k is
+    ``outer(rows[k, i], cols[k, i])``.  A spot ``dz`` um out of focus is
+    d = ``1 + (dz / defocus_rayleigh_um)**2`` times dimmer, sqrt(d) wider."""
+    pos = layout.positions()
+    x0, y0, width, height = camera_grid(layout, camera)
+    scale = camera.pixel_scale_um
+    px, py = (pos[:, 0] - x0) / scale, (pos[:, 1] - y0) / scale
+    rows, cols = [], []
+    for z_img in z_list:
+        defocus = 1.0 + ((pos[:, 2] - z_img) / camera.defocus_rayleigh_um) ** 2
+        sigmas = camera.psf_sigma0_um * np.sqrt(defocus) / scale
+        gy, gx = kernels.spot_factors(px, py, sigmas, height, width)
+        rows.append(gy * (camera.peak_counts / defocus)[:, None])
+        cols.append(gx)
+    return np.stack(rows), np.stack(cols)
+
+
+@lru_cache(maxsize=16)
 def _fit_model(layout: TrapLayout, camera: CameraModel, z_list: tuple[float, ...]):
     """The least-squares model of a z-stack, one amplitude per trap.
 
-    Image k is ``sum_i atoms_i * outer(rows[k, i], cols[k, i])``, with
-    ``rows`` (K, n, h) the row factors scaled by each spot's peak counts and
-    ``cols`` (K, n, w) the column factors.  The Gram matrix of these spots is
-    ``sum_k (rows_k rows_k^T) * (cols_k cols_k^T)``; it is inverted here, so
-    a read is one product per image and one mat-vec.
+    Image k is ``sum_i atoms_i * outer(rows[k, i], cols[k, i])`` with the
+    arrays of ``_spot_model``, whose Gram matrix
+    ``sum_k (rows_k rows_k^T) * (cols_k cols_k^T)`` is inverted here, so a
+    read is one product per image and one mat-vec.  It is cached apart
+    because the inverse can fail where rendering must not.
     """
-    pos, px, py, height, width = _trap_pixels(layout, camera)
-    rows, cols = [], []
-    for z_img in z_list:
-        amps, sigmas = _defocused_spots(pos[:, 2] - z_img, camera)
-        gy, gx = kernels.spot_factors(px, py, sigmas, height, width)
-        rows.append(gy * amps[:, None])
-        cols.append(gx)
-    rows, cols = np.stack(rows), np.stack(cols)
+    rows, cols = _spot_model(layout, camera, z_list)
     gram = np.einsum("kij,kij->ij", rows @ rows.transpose(0, 2, 1),
                      cols @ cols.transpose(0, 2, 1))
     return rows, cols, np.linalg.inv(gram)

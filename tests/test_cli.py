@@ -313,6 +313,15 @@ class TestRunExperiment:
         code, _, stderr = run(capsys, "run-experiment", str(cfg), "-o", str(tmp_path / "s.csv"))
         assert_invalid_input(code, stderr)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "x", -1],
+                             ids=["float", "bool", "string", "negative"])
+    def test_seed_not_a_nonnegative_int_exits_2(self, tmp_path, capsys, seed):
+        cfg = write_bilayer_config(tmp_path, seed=seed)
+        code, _, stderr = run(capsys, "run-experiment", str(cfg), "--shots", "1",
+                              "-o", str(tmp_path / "s.csv"))
+        assert_invalid_input(code, stderr)
+        assert "seed" in json.loads(stderr)["detail"]
+
 
 class TestRecaptureCurve:
     def test_thresholds_and_monotonicity(self, tmp_path, capsys):
@@ -337,6 +346,15 @@ class TestRecaptureCurve:
 
 
 class TestDetect:
+    def test_defaults_are_the_camera_model(self):
+        args = cli.build_parser().parse_args(["detect", "--layout", "l.json", "p.pgm",
+                                              "-o", "o.json"])
+        camera = sim.CameraModel()
+        assert (args.pixel_scale, args.psf_sigma, args.defocus_rayleigh,
+                args.peak, args.background) == (
+            camera.pixel_scale_um, camera.psf_sigma0_um, camera.defocus_rayleigh_um,
+            camera.peak_counts, camera.background_counts)
+
     def test_round_trip_via_files(self, tmp_path, capsys):
         lay_path = tmp_path / "lay.json"
         cli.main(["gen-geometry", "--preset", "cubic", "--n", "3", "3", "2",

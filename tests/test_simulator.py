@@ -352,6 +352,49 @@ class TestImaging:
         info = sim._fit_model.cache_info()
         assert (info.misses, info.hits) == (1, 49)
 
+    @pytest.mark.parametrize("make", [configs.bilayer72_config, configs.four_plane_config,
+                                      configs.one_plane_config])
+    def test_stack_equals_render_spots_reference(self, make):
+        cfg = make()
+        n = len(cfg.layout)
+        z = sim.plane_stack_z(cfg.decomposition)
+        grid = sim.camera_grid(cfg.layout, cfg.camera)
+        rng = np.random.default_rng(22)
+        occs = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        occs += [rng.random(n) < 0.5 for _ in range(5)]
+        for occ in occs:
+            got = sim.synthesize_fluorescence_stack(occ, cfg.layout, cfg.camera, z)
+            want = _render_on_grid(occ, cfg.layout.positions(), cfg.camera, grid, z)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.pixels, w.pixels)
+
+    def test_render_and_detect_build_the_spot_model_once(self, camera):
+        lay = geo.generate_preset("cubic", n=(3, 3, 2), spacing=(10, 10, 17))
+        dec = geo.decompose_planes(lay, 1.0)
+        z = sim.plane_stack_z(dec)
+        occ = np.random.default_rng(6).random(len(lay)) < 0.5
+        sim._spot_model.cache_clear()
+        sim._fit_model.cache_clear()
+        for _ in range(50):
+            stack = sim.synthesize_fluorescence_stack(occ, lay, camera, z)
+            np.testing.assert_array_equal(sim.detect_occupancy(stack, lay, dec, camera), occ)
+        assert sim._spot_model.cache_info().misses == 1
+        assert sim._fit_model.cache_info().misses == 1
+
+    def test_layout_with_a_singular_fit_still_renders(self, camera):
+        # the traps at z = +5 and -5 have the same spot in the one image at
+        # z = 0, so the fit has no inverse but the stack is well defined
+        lay = geo.TrapLayout(tuple(geo.TrapSite(geo.Vec3(*p))
+                                   for p in [(0, 0, 5), (0, 0, -5), (6, 0, 0)]))
+        stack = sim.synthesize_fluorescence_stack([True, True, True], lay, camera, [0.0])
+        x0, y0, _, _ = sim.camera_grid(lay, camera)
+        pair = 2 * camera.peak_counts / (1 + (5 / camera.defocus_rayleigh_um) ** 2)
+        assert stack[0].pixels[round(-y0), round(-x0)] == pytest.approx(
+            camera.background_counts + pair, rel=1e-6)
+        with pytest.raises(np.linalg.LinAlgError):
+            sim._fit_model(lay, camera, (0.0,))
+
 
 def _triggered_occupancies(cfg, n, rng):
     ctx = sim._SimContext(cfg)
@@ -362,9 +405,10 @@ def _triggered_occupancies(cfg, n, rng):
         yield occ
 
 
-def _render_on_grid(occ, positions, camera, grid, z_list, rng):
-    """A Poisson z-stack of the atoms at ``positions[occ]``, rendered with
-    ``camera``'s spot model onto the pixel grid ``grid`` (x0, y0, w, h)."""
+def _render_on_grid(occ, positions, camera, grid, z_list, rng=None):
+    """A z-stack of the atoms at ``positions[occ]``, rendered with
+    ``camera``'s spot model onto the pixel grid ``grid`` (x0, y0, w, h) by
+    ``kernels.render_spots``; Poisson when an ``rng`` is given."""
     x0, y0, width, height = grid
     scale = camera.pixel_scale_um
     pos = positions[occ]
@@ -377,7 +421,7 @@ def _render_on_grid(occ, positions, camera, grid, z_list, rng):
             camera.peak_counts / defocus,
             camera.psf_sigma0_um * np.sqrt(defocus) / scale,
         )
-        stack.append(sim.Image2D(rng.poisson(img).astype(float)))
+        stack.append(sim.Image2D(img if rng is None else rng.poisson(img).astype(float)))
     return stack
 
 
